@@ -32,15 +32,16 @@ use crate::report::{outcome_name, trigger_name, RunEvent, RunReport};
 use acfc_mpsl::lowered::{eval_ops, Op, SlotEnv};
 use acfc_mpsl::{EvalError, StmtId};
 use acfc_obs::LocalHist;
-use acfc_sim::backend::{var_store, StateBackend, StateSnapshot};
+use acfc_sim::backend::{self, SlotNames, SlotSnapshot, SlotState, StateBackend};
 use acfc_sim::bytecode::{Compiled, ExprRef, LowInstr, LowSrc, NO_LABEL};
 use acfc_sim::failure::RecoveryView;
 use acfc_sim::trace::{
     CheckpointRecord, CkptTrigger, FailureRecord, MessageRecord, Metrics, MsgId, Outcome, Snapshot,
-    Trace,
+    Trace, VarStore,
 };
-use acfc_sim::{backend, VectorClock};
-use acfc_sim::{CalendarQueue, CoordinationCost, CutPicker, FailurePlan, SimConfig, SimTime};
+use acfc_sim::{
+    CalendarQueue, CoordinationCost, CutPicker, FailurePlan, SimConfig, SimTime, VectorClock,
+};
 use acfc_util::rng::Rng;
 use std::sync::Arc;
 
@@ -144,19 +145,6 @@ enum PState {
     Halted,
 }
 
-/// Raw restore image kept alongside each checkpoint record: full
-/// variable/bound rows and counters, copied back verbatim on rollback
-/// (the trace-facing [`Snapshot`] stores bound pairs only).
-struct RawSnap {
-    pc: usize,
-    values: Vec<i64>,
-    bound: Vec<bool>,
-    vc: VectorClock,
-    ckpt_seq: u64,
-    insts: Vec<u64>,
-    step: u64,
-}
-
 const NIL: u32 = u32::MAX;
 
 struct FlightSlot {
@@ -225,6 +213,10 @@ struct Procs {
     stmt_limit: usize,
     vars: Vec<i64>,
     bound: Vec<bool>,
+    /// Shared copy of each process's `bound` row handed to snapshots;
+    /// dropped on a false→true flip, so the common checkpoint bumps a
+    /// refcount.
+    bound_arc: Vec<Option<Arc<[bool]>>>,
     pc: Vec<usize>,
     vc: Vec<VectorClock>,
     state: Vec<PState>,
@@ -265,8 +257,10 @@ struct DetEngine<'a> {
     out: Vec<Vec<OutChan>>,
     messages: Vec<MessageRecord>,
     checkpoints: Vec<CheckpointRecord>,
-    /// Restore images, parallel to `checkpoints`.
-    raw: Vec<RawSnap>,
+    /// The variable slot table in name order.
+    names: SlotNames,
+    /// One reusable portable snapshot per worker: what gets committed.
+    ports: Vec<SlotSnapshot>,
     failures: Vec<FailureRecord>,
     metrics: Metrics,
     rng: Rng,
@@ -319,6 +313,7 @@ impl<'a> DetEngine<'a> {
             stmt_limit,
             vars: vec![0; n * nslots],
             bound,
+            bound_arc: vec![None; n],
             pc: vec![0; n],
             vc: (0..n).map(|_| VectorClock::new(n)).collect(),
             state: vec![PState::Ready; n],
@@ -330,6 +325,7 @@ impl<'a> DetEngine<'a> {
         };
         let use_timer = coord.uses_timers();
         let passive = coord.passive();
+        let names = SlotNames::new(compiled.var_names.clone());
         let mut engine = DetEngine {
             compiled,
             config,
@@ -345,7 +341,10 @@ impl<'a> DetEngine<'a> {
             out: (0..n).map(|_| Vec::new()).collect(),
             messages: Vec::new(),
             checkpoints: Vec::new(),
-            raw: Vec::new(),
+            ports: (0..n)
+                .map(|p| SlotSnapshot::new(names.clone(), p, n))
+                .collect(),
+            names,
             failures: Vec::new(),
             metrics: Metrics::default(),
             rng: Rng::seed_from_u64(config.seed),
@@ -423,7 +422,10 @@ impl<'a> DetEngine<'a> {
         });
         self.metrics.instructions = self.procs.executed.iter().sum();
         let final_vars: Vec<Vec<(String, i64)>> = (0..self.config.nprocs)
-            .map(|p| self.bound_pairs(p))
+            .map(|p| {
+                self.names
+                    .bound_pairs(self.procs.vars_of(p), self.procs.bound_of(p))
+            })
             .collect();
         let trace = Trace {
             nprocs: self.config.nprocs,
@@ -442,22 +444,6 @@ impl<'a> DetEngine<'a> {
             events: self.events,
             final_vars,
         }
-    }
-
-    /// Bound `(name, value)` pairs of `p`, sorted by name.
-    fn bound_pairs(&self, p: usize) -> Vec<(String, i64)> {
-        let vars = self.procs.vars_of(p);
-        let bound = self.procs.bound_of(p);
-        let mut pairs: Vec<(String, i64)> = self
-            .compiled
-            .var_names
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| bound[s])
-            .map(|(s, name)| (name.clone(), vars[s]))
-            .collect();
-        pairs.sort();
-        pairs
     }
 
     fn runtime_error(&mut self, p: usize, e: impl std::fmt::Display) {
@@ -567,7 +553,10 @@ impl<'a> DetEngine<'a> {
                         Ok(v) => {
                             let at = p * self.procs.nslots + var as usize;
                             self.procs.vars[at] = v;
-                            self.procs.bound[at] = true;
+                            if !self.procs.bound[at] {
+                                self.procs.bound[at] = true;
+                                self.procs.bound_arc[p] = None;
+                            }
                         }
                         Err(e) => {
                             self.runtime_error(p, e);
@@ -859,19 +848,17 @@ impl<'a> DetEngine<'a> {
         let stall = self.config.cost.ckpt_overhead_us + coord.stall_us;
         let vc_stamp = self.procs.vc[p].clone();
         let base = p * self.procs.nslots;
-        let nslots = self.procs.nslots;
-        self.raw.push(RawSnap {
-            pc: self.procs.pc[p],
-            values: self.procs.vars[base..base + nslots].to_vec(),
-            bound: self.procs.bound[base..base + nslots].to_vec(),
-            vc: vc_stamp.clone(),
-            ckpt_seq: self.procs.ckpt_seq[p],
-            insts: self.procs.insts_of(p).to_vec(),
-            step: self.procs.step[p],
-        });
+        let bound_row = &self.procs.bound[base..base + self.procs.nslots];
+        let bound = self.procs.bound_arc[p]
+            .get_or_insert_with(|| bound_row.into())
+            .clone();
         let snapshot = Snapshot {
             pc: self.procs.pc[p],
-            vars: var_store(self.bound_pairs(p)),
+            vars: VarStore::from_slots(
+                self.compiled.var_names.clone(),
+                self.procs.vars_of(p).to_vec(),
+                bound,
+            ),
             vc: vc_stamp.clone(),
             ckpt_seq: self.procs.ckpt_seq[p],
             stmt_instances: backend::stmt_instances(
@@ -899,7 +886,18 @@ impl<'a> DetEngine<'a> {
             rolled_back: false,
         });
         let rec = self.checkpoints.last().expect("just pushed");
-        if let Err(e) = self.backend.commit(&StateSnapshot::from_record(rec)) {
+        let snap = self.ports[p].fill(SlotState {
+            seq: rec.seq,
+            trigger,
+            label: rec.label.as_deref(),
+            pc: rec.snapshot.pc,
+            step: rec.step,
+            values: rec.snapshot.vars.values(),
+            bound: rec.snapshot.vars.bound_row(),
+            vc: &rec.vc,
+            stmt_instances: self.procs.insts_of(p),
+        });
+        if let Err(e) = self.backend.commit(snap) {
             self.outcome
                 .get_or_insert(Outcome::RuntimeError(p, format!("backend commit: {e}")));
         }
@@ -1112,13 +1110,18 @@ impl<'a> DetEngine<'a> {
             let nslots = self.procs.nslots;
             match restored[q] {
                 Some(i) => {
-                    let snap = &self.raw[i];
+                    let snap = &self.checkpoints[i].snapshot;
                     self.procs.pc[q] = snap.pc;
-                    self.procs.vars[base..base + nslots].copy_from_slice(&snap.values);
-                    self.procs.bound[base..base + nslots].copy_from_slice(&snap.bound);
+                    self.procs.vars[base..base + nslots].copy_from_slice(snap.vars.values());
+                    self.procs.bound[base..base + nslots].copy_from_slice(snap.vars.bound_row());
+                    self.procs.bound_arc[q] = Some(snap.vars.bound_row().clone());
                     self.procs.vc[q].clone_from(&snap.vc);
                     self.procs.ckpt_seq[q] = snap.ckpt_seq;
-                    self.procs.insts_of_mut(q).copy_from_slice(&snap.insts);
+                    let insts = self.procs.insts_of_mut(q);
+                    insts.fill(0);
+                    for (sid, count) in snap.stmt_instances.iter_nonzero() {
+                        insts[sid as usize] = count;
+                    }
                     self.procs.step[q] = snap.step;
                 }
                 None => {

@@ -26,7 +26,7 @@ use crate::coordinator::CheckpointCoordinator;
 use crate::report::{outcome_name, trigger_name, RunEvent, RunReport};
 use acfc_mpsl::lowered::{eval_ops, Op, SlotEnv};
 use acfc_mpsl::{EvalError, StmtId};
-use acfc_sim::backend::{StateBackend, StateSnapshot};
+use acfc_sim::backend::{SlotNames, SlotSnapshot, SlotState, StateBackend, StateSnapshot};
 use acfc_sim::bytecode::{Compiled, ExprRef, LowInstr, LowSrc, NO_LABEL};
 use acfc_sim::failure::RecoveryView;
 use acfc_sim::trace::{CheckpointRecord, CkptTrigger, MessageRecord, MsgId, Outcome};
@@ -156,6 +156,8 @@ struct Shared<'a> {
     compiled: &'a Compiled,
     config: &'a SimConfig,
     params: Vec<Option<i64>>,
+    /// The variable slot table in name order.
+    names: SlotNames,
     coord: Mutex<&'a mut dyn CheckpointCoordinator>,
     backend: Mutex<&'a mut (dyn StateBackend + Send)>,
     log: Mutex<Vec<SentMsg>>,
@@ -208,6 +210,8 @@ struct Worker<'s, 'a> {
     /// Buffered arrivals per source rank.
     pending: Vec<VecDeque<Packet>>,
     eval_stack: Vec<i64>,
+    /// The reusable portable snapshot this worker commits.
+    port: SlotSnapshot,
     fc: FreeConfig,
 }
 
@@ -279,7 +283,7 @@ impl Worker<'_, '_> {
         false
     }
 
-    fn take_checkpoint(&mut self, stmt: Option<StmtId>, label: Option<String>, t: CkptTrigger) {
+    fn take_checkpoint(&mut self, stmt: Option<StmtId>, label: Option<&str>, t: CkptTrigger) {
         let rank = self.rank;
         let coord = if self.shared.passive {
             CoordinationCost::default()
@@ -296,35 +300,18 @@ impl Worker<'_, '_> {
         if let Some(sid) = stmt {
             self.st.insts[sid.0 as usize] += 1;
         }
-        let compiled = self.shared.compiled;
-        let mut vars: Vec<(String, i64)> = compiled
-            .var_names
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| self.st.bound[s])
-            .map(|(s, name)| (name.clone(), self.st.vars[s]))
-            .collect();
-        vars.sort();
-        let snap = StateSnapshot {
-            proc: rank,
+        let snap = self.port.fill(SlotState {
             seq: self.st.ckpt_seq,
             trigger: t,
             label,
             pc: self.st.pc,
             step: self.st.step,
-            nprocs: self.shared.config.nprocs,
-            vars,
-            vc: self.st.vc.iter_nonzero().collect(),
-            stmt_instances: self
-                .st
-                .insts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(i, &c)| (i as u32, c))
-                .collect(),
-        };
-        if let Err(e) = self.shared.backend.lock().unwrap().commit(&snap) {
+            values: &self.st.vars,
+            bound: &self.st.bound,
+            vc: &self.st.vc,
+            stmt_instances: &self.st.insts,
+        });
+        if let Err(e) = self.shared.backend.lock().unwrap().commit(snap) {
             self.shared
                 .raise(Outcome::RuntimeError(rank, format!("backend commit: {e}")));
             return;
@@ -615,11 +602,7 @@ impl Worker<'_, '_> {
                             .unwrap()
                             .take_app_checkpoint(self.rank, SimTime::from_micros(self.st.now));
                     if take {
-                        let label = if label == NO_LABEL {
-                            None
-                        } else {
-                            Some(compiled.labels[label as usize].to_string())
-                        };
+                        let label = (label != NO_LABEL).then(|| &*compiled.labels[label as usize]);
                         self.take_checkpoint(Some(stmt), label, CkptTrigger::AppStatement);
                     } else {
                         self.st.now += instr_us;
@@ -696,6 +679,7 @@ pub fn run_free(
         compiled,
         config,
         params,
+        names: SlotNames::new(compiled.var_names.clone()),
         coord: Mutex::new(coordinator),
         backend: Mutex::new(backend),
         log: Mutex::new(Vec::new()),
@@ -756,6 +740,7 @@ pub fn run_free(
                         .min(),
                     pending: (0..n).map(|_| VecDeque::new()).collect(),
                     eval_stack: Vec::new(),
+                    port: SlotSnapshot::new(shared.names.clone(), rank, n),
                     fc: fc.clone(),
                 };
                 handles.push(Some(scope.spawn(move || worker.run())));
@@ -817,17 +802,7 @@ pub fn run_free(
     let vtime_us = states.iter().map(|s| s.now).max().unwrap_or(0);
     let final_vars: Vec<Vec<(String, i64)>> = states
         .iter()
-        .map(|s| {
-            let mut pairs: Vec<(String, i64)> = compiled
-                .var_names
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| s.bound[i])
-                .map(|(i, name)| (name.clone(), s.vars[i]))
-                .collect();
-            pairs.sort();
-            pairs
-        })
+        .map(|s| shared.names.bound_pairs(&s.vars, &s.bound))
         .collect();
     let mut events = shared.events.into_inner().unwrap();
     let checkpoints = events

@@ -10,9 +10,13 @@ use acfc_protocols::{
 };
 use acfc_runtime::{coordinator_for, run_det, InMemoryBackend};
 use acfc_sim::{
-    compile, run_with_failures, CutPicker, FailurePlan, NetworkModel, NoHooks, SimConfig, SimTime,
-    StateBackend, Trace,
+    compile, run_with_backend, run_with_failures, CutPicker, FailurePlan, NetworkModel, NoHooks,
+    SimConfig, SimTime, StateBackend, StateSnapshot, Trace,
 };
+use std::collections::BTreeMap;
+
+mod common;
+use common::{PayloadLog, LATE_BINDING};
 
 const NPROCS: usize = 4;
 const INTERVAL_US: u64 = 60_000;
@@ -194,5 +198,83 @@ fn backend_committed_set_tracks_live_checkpoints_through_rollback() {
         live.sort_unstable();
         let committed = backend.committed().unwrap();
         assert_eq!(committed, live, "{kind}: backend vs live checkpoints");
+    }
+}
+
+#[test]
+fn committed_payloads_equal_from_record_when_the_binding_row_changes() {
+    let program = acfc_mpsl::parse(LATE_BINDING).expect("parses");
+    let compiled = compile(&program);
+    let cfg = SimConfig::new(NPROCS);
+    let expected = |trace: &Trace| -> BTreeMap<(usize, u64), Vec<u8>> {
+        assert!(trace.completed(), "{:?}", trace.outcome);
+        trace
+            .checkpoints
+            .iter()
+            .filter(|rec| !rec.rolled_back)
+            .map(|rec| {
+                (
+                    (rec.proc, rec.seq),
+                    StateSnapshot::from_record(rec).encode(),
+                )
+            })
+            .collect()
+    };
+    let var_names = |payloads: &BTreeMap<(usize, u64), Vec<u8>>, key| {
+        let snap = StateSnapshot::decode(&payloads[&key]).expect("decodes");
+        snap.vars.into_iter().map(|(k, _)| k).collect::<Vec<_>>()
+    };
+    // Failure-free, then with a kill just after process 1 binds `late`:
+    // the rollback unbinds it again and re-execution binds it anew.
+    let clean = run_with_failures(
+        &compiled,
+        &cfg,
+        &mut NoHooks,
+        FailurePlan::none(),
+        CutPicker::AlignedSeq,
+    );
+    let binds_at = clean
+        .checkpoints
+        .iter()
+        .find(|c| (c.proc, c.seq) == (1, 6))
+        .expect("sixth checkpoint")
+        .start;
+    for plan in [FailurePlan::none(), FailurePlan::at(vec![(binds_at, 1)])] {
+        let mut sim_log = PayloadLog::default();
+        let sim = run_with_backend(
+            &compiled,
+            &cfg,
+            &mut NoHooks,
+            plan.clone(),
+            CutPicker::AlignedSeq,
+            &mut sim_log,
+        );
+        assert_eq!(sim.failures.len(), plan.events().len());
+        assert_eq!(sim_log.0.len(), 10 * NPROCS);
+        assert_eq!(sim_log.0, expected(&sim), "run_with_backend");
+        assert_eq!(var_names(&sim_log.0, (0, 5)), ["acc", "i"]);
+        assert_eq!(var_names(&sim_log.0, (0, 6)), ["acc", "i", "late"]);
+
+        // The passive coordinator of any accepted program takes every
+        // `checkpoint` statement; the analysis itself is not under test.
+        let mut prep = coordinator_for(
+            ProtocolKind::AppDriven,
+            &acfc_mpsl::programs::jacobi(1),
+            NPROCS,
+            INTERVAL_US,
+            SKEW_US,
+            NetworkModel::default(),
+        )
+        .expect("coordinator builds");
+        let mut det_log = PayloadLog::default();
+        let det = run_det(
+            &compiled,
+            &cfg,
+            prep.coordinator.as_mut(),
+            &mut det_log,
+            plan,
+        );
+        assert_eq!(det_log.0, expected(&det.trace), "run_det");
+        assert_eq!(det_log.0, sim_log.0, "run_det vs run_with_backend");
     }
 }

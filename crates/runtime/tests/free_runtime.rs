@@ -13,10 +13,14 @@ use acfc_runtime::{
     backend_for, coordinator_for, run_det, run_free, FailureInjector, FreeConfig, InMemoryBackend,
     RunEvent, RunReport,
 };
-use acfc_sim::backend::StateBackend;
+use acfc_sim::backend::{StateBackend, StateSnapshot};
 use acfc_sim::{FailurePlan, NetworkModel, Outcome, SimConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
+
+mod common;
+use common::{PayloadLog, LATE_BINDING};
 
 const NPROCS: usize = 4;
 const INTERVAL_US: u64 = 60_000;
@@ -208,4 +212,60 @@ fn free_mode_durable_backend_survives_reopen_after_kill() {
         assert_eq!((snap.proc, snap.seq), (p, seq));
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn free_mode_commits_the_payloads_the_simulator_records() {
+    // A variable binds between two checkpoints, and a kill rolls the
+    // binding back: every payload a worker thread commits is still the
+    // encoding of the simulator's record of that checkpoint.
+    let program = acfc_mpsl::parse(LATE_BINDING).expect("parses");
+    let compiled = acfc_sim::compile(&program);
+    let cfg = SimConfig::new(NPROCS);
+    let sim = acfc_sim::run(&compiled, &cfg);
+    assert!(sim.completed());
+    let expected: BTreeMap<(usize, u64), Vec<u8>> = sim
+        .checkpoints
+        .iter()
+        .map(|rec| {
+            (
+                (rec.proc, rec.seq),
+                StateSnapshot::from_record(rec).encode(),
+            )
+        })
+        .collect();
+    let binds_at = sim
+        .checkpoints
+        .iter()
+        .find(|c| (c.proc, c.seq) == (1, 6))
+        .expect("sixth checkpoint")
+        .start
+        .as_micros();
+    for injector in [
+        FailureInjector::none(),
+        FailureInjector::at(vec![(binds_at, 1)]),
+    ] {
+        let mut prep = coordinator_for(
+            ProtocolKind::AppDriven,
+            &acfc_mpsl::programs::jacobi(1),
+            NPROCS,
+            INTERVAL_US,
+            SKEW_US,
+            NetworkModel::default(),
+        )
+        .expect("coordinator builds");
+        let mut log = PayloadLog::default();
+        let report = run_free(
+            &compiled,
+            &cfg,
+            prep.coordinator.as_mut(),
+            &mut log,
+            &injector,
+            &FreeConfig::default(),
+        );
+        assert_eq!(report.outcome, Outcome::Completed);
+        let (kills, ..) = count_events(&report);
+        assert_eq!(kills, usize::from(!injector.is_empty()));
+        assert_eq!(log.0, expected, "{kills} kill(s)");
+    }
 }

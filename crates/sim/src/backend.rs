@@ -17,9 +17,16 @@
 //! ([`StateSnapshot::encode`] / [`StateSnapshot::decode`]) with no
 //! external dependencies. Conversion back to the engine's restorable
 //! [`Snapshot`] is lossless ([`StateSnapshot::to_snapshot`]).
+//!
+//! Every scheduler — this crate's engine, the runtime's deterministic
+//! mirror and its worker threads — builds what it commits through one
+//! helper, [`SlotSnapshot`]: a per-process portable snapshot filled in
+//! place from the interned slot rows, in the name order [`SlotNames`]
+//! computed once for the run.
 
 use crate::clock::VectorClock;
 use crate::trace::{CheckpointRecord, CkptTrigger, Snapshot, StmtInstances, VarStore};
+use std::sync::Arc;
 
 /// Errors surfaced by a [`StateBackend`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,37 +192,58 @@ impl StateSnapshot {
     /// little-endian, length-prefixed strings). Durable backends wrap
     /// this in their own framing (checksums, atomic rename).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + 16 * self.vars.len());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the [`encode`](StateSnapshot::encode)d payload to `out`,
+    /// so a backend can serialise straight into the buffer it frames
+    /// and writes from.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(64 + 16 * self.vars.len());
         out.extend_from_slice(MAGIC);
-        put_u64(&mut out, self.proc as u64);
-        put_u64(&mut out, self.seq);
+        put_u64(out, self.proc as u64);
+        put_u64(out, self.seq);
         out.push(trigger_code(self.trigger));
         match &self.label {
             Some(l) => {
                 out.push(1);
-                put_str(&mut out, l);
+                put_str(out, l);
             }
             None => out.push(0),
         }
-        put_u64(&mut out, self.pc as u64);
-        put_u64(&mut out, self.step);
-        put_u64(&mut out, self.nprocs as u64);
-        put_u64(&mut out, self.vars.len() as u64);
+        put_u64(out, self.pc as u64);
+        put_u64(out, self.step);
+        put_u64(out, self.nprocs as u64);
+        put_u64(out, self.vars.len() as u64);
         for (k, v) in &self.vars {
-            put_str(&mut out, k);
-            put_u64(&mut out, *v as u64);
+            put_str(out, k);
+            put_u64(out, *v as u64);
         }
-        put_u64(&mut out, self.vc.len() as u64);
+        put_u64(out, self.vc.len() as u64);
         for &(i, v) in &self.vc {
-            put_u64(&mut out, i as u64);
-            put_u64(&mut out, v);
+            put_u64(out, i as u64);
+            put_u64(out, v);
         }
-        put_u64(&mut out, self.stmt_instances.len() as u64);
+        put_u64(out, self.stmt_instances.len() as u64);
         for &(i, v) in &self.stmt_instances {
-            put_u64(&mut out, i as u64);
-            put_u64(&mut out, v);
+            put_u64(out, i as u64);
+            put_u64(out, v);
         }
-        out
+    }
+
+    /// Reads `(proc, seq)` from the fixed-offset head of an encoded
+    /// payload without decoding the rest — what log replay needs per
+    /// record. Validates the magic and the 24 bytes it reads; the
+    /// structure behind them is [`decode`](StateSnapshot::decode)'s to
+    /// check.
+    pub fn peek_key(bytes: &[u8]) -> Result<(usize, u64), BackendError> {
+        let mut c = Cursor { bytes, at: 0 };
+        if c.take(8)? != MAGIC {
+            return Err(BackendError::Corrupt("bad magic".into()));
+        }
+        Ok((c.u64()? as usize, c.u64()?))
     }
 
     /// Deserialises an [`encode`](StateSnapshot::encode)d payload,
@@ -302,6 +330,144 @@ pub fn stmt_instances(pairs: impl IntoIterator<Item = (u32, u64)>) -> StmtInstan
         v[id] = count;
     }
     StmtInstances(v)
+}
+
+/// A run's variable slot table together with its name order — the
+/// order [`StateSnapshot::vars`] lists bindings in — computed once so
+/// that no checkpoint sorts.
+#[derive(Debug, Clone)]
+pub struct SlotNames {
+    names: Arc<[String]>,
+    /// Slot indices, sorted by the name they hold.
+    by_name: Arc<[u32]>,
+}
+
+impl SlotNames {
+    /// Orders the slot table of a compiled program
+    /// ([`Compiled::var_names`](crate::Compiled::var_names)).
+    pub fn new(names: Arc<[String]>) -> SlotNames {
+        let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
+        by_name.sort_unstable_by_key(|&s| &names[s as usize]);
+        SlotNames {
+            names,
+            by_name: by_name.into(),
+        }
+    }
+
+    /// The bound slots of a binding row, in name order.
+    fn bound_slots<'a>(&'a self, bound: &'a [bool]) -> impl Iterator<Item = usize> + 'a {
+        self.by_name
+            .iter()
+            .map(|&s| s as usize)
+            .filter(|&s| bound[s])
+    }
+
+    /// The bound `(name, value)` pairs of one slot row, sorted by name.
+    pub fn bound_pairs(&self, values: &[i64], bound: &[bool]) -> Vec<(String, i64)> {
+        self.bound_slots(bound)
+            .map(|s| (self.names[s].clone(), values[s]))
+            .collect()
+    }
+}
+
+/// One process's state at a checkpoint, as the schedulers hold it:
+/// interned slot rows, the clock stamp and the dense counter row.
+#[derive(Debug, Clone, Copy)]
+pub struct SlotState<'a> {
+    /// Checkpoint sequence number.
+    pub seq: u64,
+    /// What triggered the checkpoint.
+    pub trigger: CkptTrigger,
+    /// Optional source label.
+    pub label: Option<&'a str>,
+    /// Program counter.
+    pub pc: usize,
+    /// Per-process event step counter.
+    pub step: u64,
+    /// Value row, one entry per slot.
+    pub values: &'a [i64],
+    /// Binding row, one entry per slot.
+    pub bound: &'a [bool],
+    /// Vector clock stamped on the checkpoint.
+    pub vc: &'a VectorClock,
+    /// Per-statement instance counters, indexed by statement id.
+    pub stmt_instances: &'a [u64],
+}
+
+/// One process's reusable portable snapshot: the single path from
+/// interned slots to what a [`StateBackend`] commits, shared by the
+/// simulator and both runtime schedulers. Variable names are cloned
+/// only when the process's binding row differs from the one they were
+/// built for; otherwise a checkpoint overwrites values, clock entries
+/// and counters in place.
+#[derive(Debug, Clone)]
+pub struct SlotSnapshot {
+    names: SlotNames,
+    snap: StateSnapshot,
+    /// The binding row `snap.vars` names; empty until the first fill.
+    bound: Vec<bool>,
+}
+
+impl SlotSnapshot {
+    /// An empty snapshot for process `proc` of `nprocs`.
+    pub fn new(names: SlotNames, proc: usize, nprocs: usize) -> SlotSnapshot {
+        SlotSnapshot {
+            names,
+            snap: StateSnapshot {
+                proc,
+                seq: 0,
+                trigger: CkptTrigger::AppStatement,
+                label: None,
+                pc: 0,
+                step: 0,
+                nprocs,
+                vars: Vec::new(),
+                vc: Vec::new(),
+                stmt_instances: Vec::new(),
+            },
+            bound: Vec::new(),
+        }
+    }
+
+    /// Overwrites the snapshot with `state` and returns it — equal to
+    /// [`StateSnapshot::from_record`] of the record the same checkpoint
+    /// produces.
+    pub fn fill(&mut self, state: SlotState<'_>) -> &StateSnapshot {
+        let snap = &mut self.snap;
+        snap.seq = state.seq;
+        snap.trigger = state.trigger;
+        match (&mut snap.label, state.label) {
+            (Some(have), Some(want)) => {
+                have.clear();
+                have.push_str(want);
+            }
+            (have, want) => *have = want.map(str::to_owned),
+        }
+        snap.pc = state.pc;
+        snap.step = state.step;
+        if self.bound == state.bound {
+            let slots = self.names.bound_slots(state.bound);
+            for ((_, v), s) in snap.vars.iter_mut().zip(slots) {
+                *v = state.values[s];
+            }
+        } else {
+            snap.vars = self.names.bound_pairs(state.values, state.bound);
+            self.bound.clear();
+            self.bound.extend_from_slice(state.bound);
+        }
+        snap.vc.clear();
+        snap.vc.extend(state.vc.iter_nonzero());
+        snap.stmt_instances.clear();
+        snap.stmt_instances.extend(
+            state
+                .stmt_instances
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(i, &c)| (i as u32, c)),
+        );
+        snap
+    }
 }
 
 /// Where checkpoint snapshots go to survive a crash, and where recovery
@@ -449,6 +615,86 @@ mod tests {
                 assert_eq!(StateSnapshot::decode(&snap.encode()), Ok(snap));
             }
         }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_the_encoding() {
+        let snap = sample();
+        let mut buf = b"header".to_vec();
+        snap.encode_into(&mut buf);
+        snap.encode_into(&mut buf);
+        let payload = snap.encode();
+        assert_eq!(buf, [b"header", &payload[..], &payload[..]].concat());
+    }
+
+    #[test]
+    fn peek_key_reads_the_head_and_nothing_else() {
+        let bytes = sample().encode();
+        assert_eq!(StateSnapshot::peek_key(&bytes), Ok((3, 7)));
+        // The key needs the first 24 bytes and only those.
+        assert_eq!(StateSnapshot::peek_key(&bytes[..24]), Ok((3, 7)));
+        for n in 0..24 {
+            assert!(StateSnapshot::peek_key(&bytes[..n]).is_err(), "prefix {n}");
+        }
+        let mut bad = bytes;
+        bad[7] ^= 1;
+        assert_eq!(
+            StateSnapshot::peek_key(&bad),
+            Err(BackendError::Corrupt("bad magic".into()))
+        );
+    }
+
+    #[test]
+    fn slot_snapshot_tracks_the_binding_row() {
+        let names = SlotNames::new(["zeta", "b", "alpha", "m"].map(String::from).into());
+        assert_eq!(*names.by_name, [2, 1, 3, 0]);
+        let mut port = SlotSnapshot::new(names, 1, 3);
+        let vc = VectorClock::from_entries(3, [(1, 4)]);
+        let mut state = SlotState {
+            seq: 1,
+            trigger: CkptTrigger::AppStatement,
+            label: Some("first"),
+            pc: 5,
+            step: 9,
+            values: &[10, 20, 30, 40],
+            bound: &[true, true, false, false],
+            vc: &vc,
+            stmt_instances: &[0, 2, 0],
+        };
+        let want = |vars: &[(&str, i64)], seq, label: Option<&str>| StateSnapshot {
+            proc: 1,
+            seq,
+            trigger: CkptTrigger::AppStatement,
+            label: label.map(str::to_owned),
+            pc: 5,
+            step: 9,
+            nprocs: 3,
+            vars: vars.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+            vc: vec![(1, 4)],
+            stmt_instances: vec![(1, 2)],
+        };
+        assert_eq!(
+            *port.fill(state),
+            want(&[("b", 20), ("zeta", 10)], 1, Some("first"))
+        );
+        // Same row, new values: overwritten in place.
+        state.seq = 2;
+        state.label = None;
+        state.values = &[11, 21, 31, 41];
+        assert_eq!(*port.fill(state), want(&[("b", 21), ("zeta", 11)], 2, None));
+        // A slot binds between two checkpoints: names are rebuilt.
+        state.seq = 3;
+        state.bound = &[true, true, true, false];
+        assert_eq!(
+            *port.fill(state),
+            want(&[("alpha", 31), ("b", 21), ("zeta", 11)], 3, None)
+        );
+        // And a restore can unbind one again.
+        state.bound = &[true, false, true, false];
+        assert_eq!(
+            *port.fill(state),
+            want(&[("alpha", 31), ("zeta", 11)], 3, None)
+        );
     }
 
     #[test]

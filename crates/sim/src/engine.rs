@@ -11,7 +11,7 @@
 //! failure plan, a run is bit-for-bit reproducible (the only randomness
 //! is the seeded network jitter).
 
-use crate::backend::{StateBackend, StateSnapshot};
+use crate::backend::{SlotNames, SlotSnapshot, SlotState, StateBackend};
 use crate::bytecode::{Compiled, ExprRef, LowInstr, LowSrc, NO_LABEL};
 use crate::clock::VectorClock;
 use crate::config::SimConfig;
@@ -353,7 +353,7 @@ struct Engine<'a> {
     /// Opt-in durable state backend: committed on every checkpoint,
     /// discarded from on rollback; `None` (the default entry points)
     /// costs one never-taken branch per checkpoint.
-    backend: Option<&'a mut dyn StateBackend>,
+    backend: Option<Durable<'a>>,
     /// Events popped off the queue — counted unconditionally (one
     /// plain add beats an `Option` branch in the hot loop) and copied
     /// into [`SimObs`] when a collector is attached.
@@ -369,6 +369,13 @@ struct Engine<'a> {
     /// [`SimObs`] at flush: the observed and post-hoc views agree
     /// bucket-for-bucket by construction.
     queue_depth: LocalHist,
+}
+
+/// The attached durable store and the reusable portable snapshot of
+/// each process that is committed to it.
+struct Durable<'a> {
+    store: &'a mut dyn StateBackend,
+    ports: Vec<SlotSnapshot>,
 }
 
 const INLINE_BUDGET: u32 = 256;
@@ -469,7 +476,13 @@ impl<'a> Engine<'a> {
             use_timer_hook,
             passive_hooks,
             obs,
-            backend,
+            backend: backend.map(|store| {
+                let names = SlotNames::new(compiled.var_names.clone());
+                let ports = (0..n)
+                    .map(|p| SlotSnapshot::new(names.clone(), p, n))
+                    .collect();
+                Durable { store, ports }
+            }),
             events_processed: 0,
             run_ahead_hits: 0,
             compute_us: vec![0; n],
@@ -1105,9 +1118,20 @@ impl<'a> Engine<'a> {
             snapshot,
             rolled_back: false,
         });
-        if let Some(b) = self.backend.as_deref_mut() {
+        if let Some(d) = self.backend.as_mut() {
             let rec = self.checkpoints.last().expect("just pushed");
-            if let Err(e) = b.commit(&StateSnapshot::from_record(rec)) {
+            let snap = d.ports[p].fill(SlotState {
+                seq: rec.seq,
+                trigger,
+                label: rec.label.as_deref(),
+                pc: rec.snapshot.pc,
+                step: rec.step,
+                values: &rec.snapshot.vars.values,
+                bound: &rec.snapshot.vars.bound,
+                vc: &rec.vc,
+                stmt_instances: &rec.snapshot.stmt_instances.0,
+            });
+            if let Err(e) = d.store.commit(snap) {
                 self.outcome
                     .get_or_insert(Outcome::RuntimeError(p, format!("backend commit: {e}")));
             }
@@ -1265,9 +1289,9 @@ impl<'a> Engine<'a> {
             }
         }
         // The backend's committed set tracks the live checkpoints.
-        if let Some(b) = self.backend.as_deref_mut() {
+        if let Some(d) = self.backend.as_mut() {
             for (q, p) in picked.iter().enumerate() {
-                if let Err(e) = b.discard_after(q, p.unwrap_or(0)) {
+                if let Err(e) = d.store.discard_after(q, p.unwrap_or(0)) {
                     self.outcome
                         .get_or_insert(Outcome::RuntimeError(q, format!("backend discard: {e}")));
                 }

@@ -60,6 +60,36 @@ impl VarStore {
         crate::backend::var_store(pairs)
     }
 
+    /// Wraps one process's slot rows without copying the shared parts:
+    /// `names` is the compile-time slot table and `bound` the process's
+    /// binding row, both refcounted across every snapshot that sees
+    /// them unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the three rows have one entry per slot.
+    pub fn from_slots(names: Arc<[String]>, values: Vec<i64>, bound: Arc<[bool]>) -> VarStore {
+        assert!(
+            names.len() == values.len() && names.len() == bound.len(),
+            "slot rows differ in length"
+        );
+        VarStore {
+            names,
+            values,
+            bound,
+        }
+    }
+
+    /// The value row, one entry per slot (bound or not).
+    pub fn values(&self) -> &[i64] {
+        &self.values
+    }
+
+    /// The binding row, one entry per slot.
+    pub fn bound_row(&self) -> &Arc<[bool]> {
+        &self.bound
+    }
+
     /// The value bound to `name`, if any.
     pub fn get(&self, name: &str) -> Option<i64> {
         self.names
