@@ -81,16 +81,6 @@ impl CicVariant {
         }
     }
 
-    /// Parse a CLI spelling (`index`, `bcs`, `hmnr`, `lazy`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `FromStr` impl (`s.parse::<CicVariant>()`), which also \
-                accepts display names and reports a typed ParseProtocolError"
-    )]
-    pub fn parse(s: &str) -> Option<CicVariant> {
-        s.parse().ok()
-    }
-
     /// The obs counter bumped on every forced checkpoint.
     pub fn forced_counter(self) -> &'static str {
         match self {

@@ -1,159 +1,82 @@
 //! Checkpoint coordinators: *when* a worker checkpoints.
 //!
-//! [`CheckpointCoordinator`] is the runtime half of the trait pair
-//! (its sibling [`StateBackend`](acfc_sim::StateBackend) decides
-//! *where* snapshots go). The surface deliberately mirrors the
-//! simulator's [`Hooks`] customisation points — same piggyback /
-//! on-recv / timer / coordination-cost decisions, against the worker's
-//! virtual cost-model clock — so every protocol the paper compares
-//! against runs unmodified on live workers via [`HookCoordinator`],
-//! and the deterministic scheduler reproduces the simulator's event
-//! order exactly.
+//! The decisions themselves — piggyback, on-receive, timers,
+//! coordination cost, against the worker's virtual cost-model clock —
+//! are the simulator's [`Hooks`], declared once and implemented once
+//! per protocol in `acfc-protocols`; both schedulers dispatch on the
+//! hooks object directly. [`CheckpointCoordinator`] adds the two things
+//! only a runtime asks of a protocol: its name for reports, and the
+//! recovery-line picker that matches its placement guarantees.
 
 use acfc_mpsl::Program;
 use acfc_protocols::{
     max_consistent_picker, uncoordinated_hooks, uncoordinated_picker, AppDriven, ChandyLamport,
     CicProtocol, ProtocolKind, SyncAndStop,
 };
-use acfc_sim::{
-    compile, CkptTrigger, Compiled, CoordinationCost, CutPicker, Hooks, NetworkModel, NoHooks,
-    RecvAction, SimTime,
-};
+use acfc_sim::{compile, Compiled, CutPicker, Hooks, NetworkModel, NoHooks, TimerCheckpoints};
 
-/// Decides when each worker checkpoints, what protocol metadata rides
-/// on messages, and which recovery line a rollback restores.
-///
-/// All times are the worker's *virtual* cost-model clock (µs of
-/// modelled execution, not wall clock), so coordinator behaviour is
-/// identical across hardware speeds and between the deterministic and
-/// free-running schedulers.
-pub trait CheckpointCoordinator: Send {
-    /// Short stable identifier for reports and the CLI.
+/// A protocol's [`Hooks`] plus what a runtime needs around them. `Send`
+/// because the free-running scheduler shares the coordinator between
+/// worker threads (behind a mutex).
+pub trait CheckpointCoordinator: Hooks + Send {
+    /// Short stable identifier for reports and the CLI
+    /// ([`ProtocolKind::name`]).
     fn name(&self) -> &'static str;
-
-    /// `true` when the coordinator never intervenes (the
-    /// application-driven protocol): workers skip per-message and
-    /// per-checkpoint dispatch entirely.
-    fn passive(&mut self) -> bool {
-        false
-    }
-
-    /// `true` when [`timer_due`](CheckpointCoordinator::timer_due)
-    /// must be polled at instruction boundaries.
-    fn uses_timers(&mut self) -> bool {
-        true
-    }
-
-    /// Metadata to piggyback on an application message.
-    fn piggyback(&mut self, p: usize, to: usize, ckpt_seq: u64, now: SimTime) -> u64;
-
-    /// Protocol decision on message receipt (deliver, or force a
-    /// checkpoint first).
-    fn on_recv(&mut self, p: usize, piggyback: u64, own_seq: u64, now: SimTime) -> RecvAction;
-
-    /// Whether an application `checkpoint` statement actually takes a
-    /// checkpoint under this protocol.
-    fn take_app_checkpoint(&mut self, p: usize, now: SimTime) -> bool;
-
-    /// Whether a protocol timer has expired for `p`.
-    fn timer_due(&mut self, p: usize, now: SimTime) -> bool;
-
-    /// The trigger recorded for timer checkpoints.
-    fn timer_trigger(&mut self, p: usize) -> CkptTrigger;
-
-    /// Stall and control traffic charged for a checkpoint.
-    fn coordination_cost(&mut self, p: usize, now: SimTime) -> CoordinationCost;
-
-    /// Notification that `p` committed a checkpoint.
-    fn checkpoint_taken(&mut self, p: usize, trigger: CkptTrigger, now: SimTime);
 
     /// A fresh recovery-line picker consistent with this protocol's
     /// checkpoint placement guarantees.
     fn picker(&self) -> CutPicker;
 }
 
-/// Which picker a [`HookCoordinator`] hands to recovery.
-enum PickerKind {
-    AlignedSeq,
-    MaxConsistent,
-    Uncoordinated,
-    Cic(acfc_protocols::CicVariant),
-}
-
-impl PickerKind {
-    fn build(&self) -> CutPicker {
-        match self {
-            PickerKind::AlignedSeq => CutPicker::AlignedSeq,
-            PickerKind::MaxConsistent => max_consistent_picker(),
-            PickerKind::Uncoordinated => uncoordinated_picker(),
-            PickerKind::Cic(v) => v.picker(),
-        }
-    }
-}
-
-/// Adapts any simulator [`Hooks`] implementation into a
-/// [`CheckpointCoordinator`]: the protocol logic (SaS and C-L waves,
-/// CIC index propagation, uncoordinated timers) is reused verbatim —
-/// one implementation drives both the simulator and the live runtime.
-pub struct HookCoordinator<H: Hooks + Send> {
-    name: &'static str,
-    hooks: H,
-    picker: PickerKind,
-}
-
-impl<H: Hooks + Send> HookCoordinator<H> {
-    fn new(name: &'static str, hooks: H, picker: PickerKind) -> HookCoordinator<H> {
-        HookCoordinator {
-            name,
-            hooks,
-            picker,
-        }
-    }
-}
-
-impl<H: Hooks + Send> CheckpointCoordinator for HookCoordinator<H> {
+/// The application-driven protocol: no hooks, straight-cut recovery.
+impl CheckpointCoordinator for NoHooks {
     fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn passive(&mut self) -> bool {
-        self.hooks.passive()
-    }
-
-    fn uses_timers(&mut self) -> bool {
-        self.hooks.uses_timers()
-    }
-
-    fn piggyback(&mut self, p: usize, to: usize, ckpt_seq: u64, now: SimTime) -> u64 {
-        self.hooks.piggyback(p, to, ckpt_seq, now)
-    }
-
-    fn on_recv(&mut self, p: usize, piggyback: u64, own_seq: u64, now: SimTime) -> RecvAction {
-        self.hooks.on_recv(p, piggyback, own_seq, now)
-    }
-
-    fn take_app_checkpoint(&mut self, p: usize, now: SimTime) -> bool {
-        self.hooks.take_app_checkpoint(p, now)
-    }
-
-    fn timer_due(&mut self, p: usize, now: SimTime) -> bool {
-        self.hooks.timer_checkpoint_due(p, now)
-    }
-
-    fn timer_trigger(&mut self, p: usize) -> CkptTrigger {
-        self.hooks.timer_trigger(p)
-    }
-
-    fn coordination_cost(&mut self, p: usize, now: SimTime) -> CoordinationCost {
-        self.hooks.coordination_cost(p, now)
-    }
-
-    fn checkpoint_taken(&mut self, p: usize, trigger: CkptTrigger, now: SimTime) {
-        self.hooks.checkpoint_taken(p, trigger, now)
+        ProtocolKind::AppDriven.name()
     }
 
     fn picker(&self) -> CutPicker {
-        self.picker.build()
+        CutPicker::AlignedSeq
+    }
+}
+
+/// The uncoordinated protocol: independent skewed timers.
+impl CheckpointCoordinator for TimerCheckpoints {
+    fn name(&self) -> &'static str {
+        ProtocolKind::Uncoordinated.name()
+    }
+
+    fn picker(&self) -> CutPicker {
+        uncoordinated_picker()
+    }
+}
+
+impl CheckpointCoordinator for SyncAndStop {
+    fn name(&self) -> &'static str {
+        ProtocolKind::SyncAndStop.name()
+    }
+
+    fn picker(&self) -> CutPicker {
+        max_consistent_picker()
+    }
+}
+
+impl CheckpointCoordinator for ChandyLamport {
+    fn name(&self) -> &'static str {
+        ProtocolKind::ChandyLamport.name()
+    }
+
+    fn picker(&self) -> CutPicker {
+        max_consistent_picker()
+    }
+}
+
+impl CheckpointCoordinator for CicProtocol {
+    fn name(&self) -> &'static str {
+        self.variant().name()
+    }
+
+    fn picker(&self) -> CutPicker {
+        self.variant().picker()
     }
 }
 
@@ -184,50 +107,31 @@ pub fn coordinator_for(
     skew_us: u64,
     net: NetworkModel,
 ) -> Result<PreparedRun, String> {
-    Ok(match kind {
+    let (compiled, coordinator): (Compiled, Box<dyn CheckpointCoordinator>) = match kind {
         ProtocolKind::AppDriven => {
             let ad = AppDriven::prepare(program, nprocs).map_err(|e| e.to_string())?;
-            PreparedRun {
-                compiled: ad.compiled,
-                coordinator: Box::new(HookCoordinator::new(
-                    "appl-driven",
-                    NoHooks,
-                    PickerKind::AlignedSeq,
-                )),
-            }
+            (ad.compiled, Box::new(NoHooks))
         }
-        ProtocolKind::Uncoordinated => PreparedRun {
-            compiled: compile(program),
-            coordinator: Box::new(HookCoordinator::new(
-                "uncoordinated",
-                uncoordinated_hooks(nprocs, interval_us, skew_us),
-                PickerKind::Uncoordinated,
-            )),
-        },
-        ProtocolKind::SyncAndStop => PreparedRun {
-            compiled: compile(program),
-            coordinator: Box::new(HookCoordinator::new(
-                "SaS",
-                SyncAndStop::new(nprocs, interval_us, net),
-                PickerKind::MaxConsistent,
-            )),
-        },
-        ProtocolKind::ChandyLamport => PreparedRun {
-            compiled: compile(program),
-            coordinator: Box::new(HookCoordinator::new(
-                "C-L",
-                ChandyLamport::new(nprocs, interval_us, net),
-                PickerKind::MaxConsistent,
-            )),
-        },
-        ProtocolKind::Cic(variant) => PreparedRun {
-            compiled: compile(program),
-            coordinator: Box::new(HookCoordinator::new(
-                variant.name(),
-                CicProtocol::new(variant, nprocs, interval_us, skew_us),
-                PickerKind::Cic(variant),
-            )),
-        },
+        ProtocolKind::Uncoordinated => (
+            compile(program),
+            Box::new(uncoordinated_hooks(nprocs, interval_us, skew_us)),
+        ),
+        ProtocolKind::SyncAndStop => (
+            compile(program),
+            Box::new(SyncAndStop::new(nprocs, interval_us, net)),
+        ),
+        ProtocolKind::ChandyLamport => (
+            compile(program),
+            Box::new(ChandyLamport::new(nprocs, interval_us, net)),
+        ),
+        ProtocolKind::Cic(variant) => (
+            compile(program),
+            Box::new(CicProtocol::new(variant, nprocs, interval_us, skew_us)),
+        ),
+    };
+    Ok(PreparedRun {
+        compiled,
+        coordinator,
     })
 }
 

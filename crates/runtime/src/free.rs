@@ -23,7 +23,7 @@
 //! numbers.
 
 use crate::coordinator::CheckpointCoordinator;
-use crate::report::{outcome_name, trigger_name, RunEvent, RunReport};
+use crate::report::{trigger_name, RunEvent, RunReport};
 use acfc_mpsl::lowered::{eval_ops, Op, SlotEnv};
 use acfc_mpsl::{EvalError, StmtId};
 use acfc_sim::backend::{SlotNames, SlotSnapshot, SlotState, StateBackend, StateSnapshot};
@@ -487,7 +487,7 @@ impl Worker<'_, '_> {
                     .coord
                     .lock()
                     .unwrap()
-                    .timer_due(self.rank, SimTime::from_micros(self.st.now));
+                    .timer_checkpoint_due(self.rank, SimTime::from_micros(self.st.now));
                 if due {
                     self.st.executed += 1;
                     let trigger = self.shared.coord.lock().unwrap().timer_trigger(self.rank);
@@ -640,19 +640,6 @@ pub fn run_free(
     let passive = coordinator.passive();
     let backend_name = backend.name().to_string();
 
-    let mut params: Vec<Option<i64>> = vec![None; compiled.param_names.len()];
-    let slot_of = |name: &str| compiled.param_names.iter().position(|p| p == name);
-    for (k, v) in &compiled.params {
-        if let Some(s) = slot_of(k) {
-            params[s] = Some(*v);
-        }
-    }
-    for (k, v) in &config.param_overrides {
-        if let Some(s) = slot_of(k) {
-            params[s] = Some(*v);
-        }
-    }
-
     let nslots = compiled.var_names.len();
     let declared = compiled.vars.len();
     let stmt_limit = compiled.stmt_limit as usize;
@@ -678,18 +665,12 @@ pub fn run_free(
     let shared = Shared {
         compiled,
         config,
-        params,
+        params: compiled.bind_params(&config.param_overrides),
         names: SlotNames::new(compiled.var_names.clone()),
         coord: Mutex::new(coordinator),
         backend: Mutex::new(backend),
         log: Mutex::new(Vec::new()),
-        events: Mutex::new(vec![RunEvent::RunStart {
-            program: compiled.name.clone(),
-            nprocs: n,
-            coordinator: coordinator_name.clone(),
-            backend: backend_name.clone(),
-            mode: "free",
-        }]),
+        events: Mutex::new(Vec::new()),
         ckpt_times: Mutex::new(BTreeMap::new()),
         abort: AtomicBool::new(false),
         crash: Mutex::new(None),
@@ -804,19 +785,7 @@ pub fn run_free(
         .iter()
         .map(|s| shared.names.bound_pairs(&s.vars, &s.bound))
         .collect();
-    let mut events = shared.events.into_inner().unwrap();
-    let checkpoints = events
-        .iter()
-        .filter(|e| matches!(e, RunEvent::Checkpoint { .. }))
-        .count() as u64;
     let messages = shared.log.into_inner().unwrap().len() as u64;
-    events.push(RunEvent::RunEnd {
-        outcome: outcome_name(&outcome),
-        vtime_us,
-        checkpoints,
-        messages,
-        failures,
-    });
     RunReport {
         program: compiled.name.clone(),
         nprocs: n,
@@ -825,9 +794,10 @@ pub fn run_free(
         mode: "free",
         outcome,
         vtime_us,
-        events,
+        events: shared.events.into_inner().unwrap(),
         final_vars,
     }
+    .framed(messages, failures)
 }
 
 /// Stop-the-world recovery: rebuilds the recovery view *from the

@@ -5,10 +5,11 @@
 //! The public API is a trait pair, mirroring the paper's separation of
 //! *placement* from *persistence*:
 //!
-//! - [`CheckpointCoordinator`] decides **when** each worker checkpoints
-//!   (the application-driven no-op, timer-driven uncoordinated, and
-//!   SaS / C-L / CIC adapters that reuse the simulator's protocol
-//!   hooks verbatim) — built from a
+//! - [`CheckpointCoordinator`] decides **when** each worker checkpoints:
+//!   the simulator's protocol [`Hooks`](acfc_sim::Hooks) — the
+//!   application-driven no-op, timer-driven uncoordinated, SaS, C-L and
+//!   the CIC family, one implementation each — plus a name and a
+//!   recovery-line picker; built from a
 //!   [`ProtocolKind`](acfc_protocols::ProtocolKind) via
 //!   [`coordinator_for`].
 //! - [`StateBackend`](acfc_sim::StateBackend) decides **where**
@@ -19,10 +20,10 @@
 //!
 //! Two schedulers execute the program:
 //!
-//! - [`run_det`] — deterministic virtual-time mode, a faithful mirror
-//!   of the simulator engine: same event order, same traces
-//!   (differentially pinned), but dispatching through the trait pair
-//!   and committing real snapshots.
+//! - [`run_det`] — deterministic virtual-time mode: the simulator's
+//!   engine itself, with the coordinator as its hooks, the backend
+//!   attached and the run log collected — same event order and traces
+//!   by construction, with real snapshots committed.
 //! - [`run_free`] — free-running mode: one OS thread per worker over
 //!   real `mpsc` channels, virtual cost-model clocks for protocol
 //!   timers, a [`FailureInjector`] that kills live workers, and
@@ -41,7 +42,7 @@ pub mod report;
 pub use backends::{
     backend_for, crc32, CrashPoint, FileBackend, InMemoryBackend, LogStructuredBackend,
 };
-pub use coordinator::{coordinator_for, CheckpointCoordinator, HookCoordinator, PreparedRun};
+pub use coordinator::{coordinator_for, CheckpointCoordinator, PreparedRun};
 pub use det::{run_det, DetRun};
 pub use free::{run_free, FailureInjector, FreeConfig};
 pub use report::{outcome_name, trigger_name, RunEvent, RunReport};

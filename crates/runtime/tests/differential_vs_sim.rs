@@ -1,17 +1,16 @@
-//! Differential pin: the deterministic runtime scheduler reproduces
-//! the simulator engine's traces exactly — same messages (times,
-//! clocks, piggybacks), same checkpoints (snapshots included), same
-//! failure/rollback records, same metrics — for every protocol, with
-//! and without kills, on all stock programs.
+//! Regression: `run_det` is the simulator's engine with a backend and
+//! a run log attached, and attaching them must not perturb the run. For
+//! every protocol, with and without kills, its trace equals the one the
+//! simulator's own protocol dispatch (`acfc_protocols::compare`)
+//! produces — which also pins that `coordinator_for` pairs each
+//! protocol with the hooks and the cut picker the simulator uses — and
+//! what reaches the backend is what the trace records.
 
-use acfc_protocols::{
-    max_consistent_picker, uncoordinated_hooks, uncoordinated_picker, AppDriven, ChandyLamport,
-    CicProtocol, ProtocolKind, SyncAndStop,
-};
-use acfc_runtime::{coordinator_for, run_det, InMemoryBackend};
+use acfc_protocols::{run_protocol_timeline, CompareConfig, ProtocolKind};
+use acfc_runtime::{coordinator_for, run_det, DetRun, InMemoryBackend};
 use acfc_sim::{
-    compile, run_with_backend, run_with_failures, CutPicker, FailurePlan, NetworkModel, NoHooks,
-    SimConfig, SimTime, StateBackend, StateSnapshot, Trace,
+    compile, golden, run_with_backend, CutPicker, FailurePlan, NetworkModel, NoHooks, SimConfig,
+    SimTime, StateBackend, StateSnapshot, Trace, DENSE_CLOCK_MAX,
 };
 use std::collections::BTreeMap;
 
@@ -22,164 +21,90 @@ const NPROCS: usize = 4;
 const INTERVAL_US: u64 = 60_000;
 const SKEW_US: u64 = INTERVAL_US / 3;
 
-/// Simulator-side reference run, mirroring the protocol dispatch the
-/// runtime's `coordinator_for` performs.
-fn sim_reference(kind: ProtocolKind, program: &acfc_mpsl::Program, plan: FailurePlan) -> Trace {
-    let cfg = SimConfig::new(NPROCS);
-    let net = NetworkModel::default();
-    match kind {
-        ProtocolKind::AppDriven => {
-            let ad = AppDriven::prepare(program, NPROCS).expect("analysis accepts stock programs");
-            let mut hooks = NoHooks;
-            run_with_failures(&ad.compiled, &cfg, &mut hooks, plan, CutPicker::AlignedSeq)
-        }
-        ProtocolKind::Uncoordinated => {
-            let mut hooks = uncoordinated_hooks(NPROCS, INTERVAL_US, SKEW_US);
-            run_with_failures(
-                &compile(program),
-                &cfg,
-                &mut hooks,
-                plan,
-                uncoordinated_picker(),
-            )
-        }
-        ProtocolKind::SyncAndStop => {
-            let mut hooks = SyncAndStop::new(NPROCS, INTERVAL_US, net);
-            run_with_failures(
-                &compile(program),
-                &cfg,
-                &mut hooks,
-                plan,
-                max_consistent_picker(),
-            )
-        }
-        ProtocolKind::ChandyLamport => {
-            let mut hooks = ChandyLamport::new(NPROCS, INTERVAL_US, net);
-            run_with_failures(
-                &compile(program),
-                &cfg,
-                &mut hooks,
-                plan,
-                max_consistent_picker(),
-            )
-        }
-        ProtocolKind::Cic(variant) => {
-            let mut hooks = CicProtocol::new(variant, NPROCS, INTERVAL_US, SKEW_US);
-            let picker = hooks.picker();
-            run_with_failures(&compile(program), &cfg, &mut hooks, plan, picker)
-        }
-    }
-}
-
-/// Runtime-side run through the trait pair.
-fn runtime_run(
+fn det_run(
     kind: ProtocolKind,
     program: &acfc_mpsl::Program,
+    cfg: &SimConfig,
     plan: FailurePlan,
-) -> (Trace, InMemoryBackend) {
+    backend: &mut dyn StateBackend,
+) -> DetRun {
     let mut prep = coordinator_for(
         kind,
         program,
-        NPROCS,
+        cfg.nprocs,
         INTERVAL_US,
         SKEW_US,
         NetworkModel::default(),
     )
     .expect("coordinator builds");
-    let cfg = SimConfig::new(NPROCS);
-    let mut backend = InMemoryBackend::new();
-    let run = run_det(
+    run_det(
         &prep.compiled,
-        &cfg,
+        cfg,
         prep.coordinator.as_mut(),
-        &mut backend,
+        backend,
         plan,
-    );
-    (run.trace, backend)
+    )
 }
 
-fn assert_traces_equal(kind: ProtocolKind, program: &str, sim: &Trace, rt: &Trace) {
-    let ctx = format!("{program} under {kind}");
-    assert_eq!(sim.nprocs, rt.nprocs, "{ctx}: nprocs");
-    assert_eq!(sim.program, rt.program, "{ctx}: program name");
-    assert_eq!(sim.outcome, rt.outcome, "{ctx}: outcome");
-    assert_eq!(sim.finished_at, rt.finished_at, "{ctx}: finished_at");
-    assert_eq!(sim.proc_end, rt.proc_end, "{ctx}: proc_end");
+/// `run_det`'s trace next to the simulator's for the same cell.
+fn both(kind: ProtocolKind, program: &acfc_mpsl::Program, plan: FailurePlan) -> (Trace, Trace) {
+    let cmp = CompareConfig::builder(NPROCS)
+        .interval_us(INTERVAL_US)
+        .skew_us(SKEW_US)
+        .failures(plan.clone())
+        .build()
+        .expect("valid comparison");
+    let (sim, _) = run_protocol_timeline(program, kind, &cmp);
+    let det = det_run(kind, program, &cmp.sim, plan, &mut InMemoryBackend::new());
+    (sim, det.trace)
+}
+
+fn assert_traces_equal(ctx: &str, sim: &Trace, rt: &Trace) {
+    // `golden` renders every message, checkpoint (snapshot included)
+    // and failure record; the metrics it leaves out ride along.
+    assert_eq!(golden(sim), golden(rt), "{ctx}");
     assert_eq!(
         format!("{:?}", sim.metrics),
         format!("{:?}", rt.metrics),
         "{ctx}: metrics"
     );
-    assert_eq!(
-        sim.messages.len(),
-        rt.messages.len(),
-        "{ctx}: message count"
-    );
-    for (a, b) in sim.messages.iter().zip(&rt.messages) {
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "{ctx}: message {:?}",
-            a.id
-        );
-    }
-    assert_eq!(
-        sim.checkpoints.len(),
-        rt.checkpoints.len(),
-        "{ctx}: checkpoint count"
-    );
-    for (a, b) in sim.checkpoints.iter().zip(&rt.checkpoints) {
-        let at = format!("{ctx}: checkpoint ({}, {})", a.proc, a.seq);
-        assert_eq!(a.proc, b.proc, "{at}: proc");
-        assert_eq!(a.seq, b.seq, "{at}: seq");
-        assert_eq!(a.stmt, b.stmt, "{at}: stmt");
-        assert_eq!(a.instance, b.instance, "{at}: instance");
-        assert_eq!(a.label, b.label, "{at}: label");
-        assert_eq!(a.trigger, b.trigger, "{at}: trigger");
-        assert_eq!(a.start, b.start, "{at}: start");
-        assert_eq!(a.durable_at, b.durable_at, "{at}: durable_at");
-        assert_eq!(a.vc, b.vc, "{at}: vc");
-        assert_eq!(a.step, b.step, "{at}: step");
-        assert_eq!(a.rolled_back, b.rolled_back, "{at}: rolled_back");
-        // Set-semantic snapshot equality (bound pairs, nonzero instance
-        // counters, representation-independent clocks).
-        assert_eq!(a.snapshot, b.snapshot, "{at}: snapshot");
-    }
-    assert_eq!(sim.failures.len(), rt.failures.len(), "{ctx}: failures");
-    for (a, b) in sim.failures.iter().zip(&rt.failures) {
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{ctx}: failure record");
-    }
+}
+
+fn live_checkpoints(trace: &Trace) -> Vec<(usize, u64)> {
+    let mut live: Vec<(usize, u64)> = trace
+        .checkpoints
+        .iter()
+        .filter(|c| !c.rolled_back)
+        .map(|c| (c.proc, c.seq))
+        .collect();
+    live.sort_unstable();
+    live
 }
 
 #[test]
 fn det_runtime_matches_simulator_on_all_stock_programs() {
     for program in acfc_mpsl::programs::all_stock() {
-        let name = program.name.clone();
         for kind in ProtocolKind::all() {
-            let sim = sim_reference(kind, &program, FailurePlan::none());
-            let (rt, _) = runtime_run(kind, &program, FailurePlan::none());
-            assert_traces_equal(kind, &name, &sim, &rt);
+            let (sim, rt) = both(kind, &program, FailurePlan::none());
+            assert_traces_equal(&format!("{} under {kind}", program.name), &sim, &rt);
         }
     }
 }
 
 #[test]
 fn det_runtime_matches_simulator_under_kills() {
-    let plan = || {
-        FailurePlan::at(vec![
-            (SimTime::from_micros(180_000), 1),
-            (SimTime::from_micros(420_000), 2),
-        ])
-    };
+    let plan = FailurePlan::at(vec![
+        (SimTime::from_micros(180_000), 1),
+        (SimTime::from_micros(420_000), 2),
+    ]);
     let program = acfc_mpsl::programs::jacobi(8);
     for kind in ProtocolKind::all() {
-        let sim = sim_reference(kind, &program, plan());
-        let (rt, _) = runtime_run(kind, &program, plan());
+        let (sim, rt) = both(kind, &program, plan.clone());
         assert!(
             !rt.failures.is_empty(),
             "{kind}: the kill schedule should actually fire"
         );
-        assert_traces_equal(kind, "jacobi-kills", &sim, &rt);
+        assert_traces_equal(&format!("jacobi-kills under {kind}"), &sim, &rt);
     }
 }
 
@@ -188,17 +113,51 @@ fn backend_committed_set_tracks_live_checkpoints_through_rollback() {
     let plan = FailurePlan::at(vec![(SimTime::from_micros(200_000), 0)]);
     let program = acfc_mpsl::programs::jacobi(8);
     for kind in ProtocolKind::all() {
-        let (trace, mut backend) = runtime_run(kind, &program, plan.clone());
-        let mut live: Vec<(usize, u64)> = trace
-            .checkpoints
-            .iter()
-            .filter(|c| !c.rolled_back)
-            .map(|c| (c.proc, c.seq))
-            .collect();
-        live.sort_unstable();
-        let committed = backend.committed().unwrap();
-        assert_eq!(committed, live, "{kind}: backend vs live checkpoints");
+        let mut backend = InMemoryBackend::new();
+        let cfg = SimConfig::new(NPROCS);
+        let run = det_run(kind, &program, &cfg, plan.clone(), &mut backend);
+        assert_eq!(
+            backend.committed().unwrap(),
+            live_checkpoints(&run.trace),
+            "{kind}: backend vs live checkpoints"
+        );
     }
+}
+
+/// One process more than dense clocks carry: the run goes through the
+/// engine's delta-clock transport and commits sparse stamps.
+#[test]
+fn det_runtime_recovers_a_kill_above_the_dense_clock_limit() {
+    let n = DENSE_CLOCK_MAX + 1;
+    let cfg = SimConfig::new(n);
+    assert!(cfg.clock_mode.is_delta(n));
+    let program = acfc_mpsl::programs::jacobi(10);
+    let kind = ProtocolKind::AppDriven;
+    let clean = det_run(
+        kind,
+        &program,
+        &cfg,
+        FailurePlan::none(),
+        &mut InMemoryBackend::new(),
+    );
+    assert!(clean.trace.completed(), "{:?}", clean.trace.outcome);
+
+    let mut backend = InMemoryBackend::new();
+    let plan = FailurePlan::at(vec![(SimTime::from_micros(200_000), 7)]);
+    let killed = det_run(kind, &program, &cfg, plan, &mut backend);
+    assert!(killed.trace.completed(), "{:?}", killed.trace.outcome);
+    assert_eq!(killed.trace.failures.len(), 1, "the kill fires mid-run");
+    let failure = &killed.trace.failures[0];
+    assert!(
+        failure.restored_seq.iter().all(|s| s.is_some()) && failure.lost_us > 0,
+        "{failure:?}"
+    );
+    assert_eq!(
+        backend.committed().unwrap(),
+        live_checkpoints(&killed.trace)
+    );
+    assert_eq!(killed.final_vars, clean.final_vars);
+    assert_eq!(killed.final_vars.len(), n);
 }
 
 #[test]
@@ -226,12 +185,13 @@ fn committed_payloads_equal_from_record_when_the_binding_row_changes() {
     };
     // Failure-free, then with a kill just after process 1 binds `late`:
     // the rollback unbinds it again and re-execution binds it anew.
-    let clean = run_with_failures(
+    let (clean, _) = run_with_backend(
         &compiled,
         &cfg,
         &mut NoHooks,
         FailurePlan::none(),
         CutPicker::AlignedSeq,
+        &mut PayloadLog::default(),
     );
     let binds_at = clean
         .checkpoints
@@ -240,21 +200,6 @@ fn committed_payloads_equal_from_record_when_the_binding_row_changes() {
         .expect("sixth checkpoint")
         .start;
     for plan in [FailurePlan::none(), FailurePlan::at(vec![(binds_at, 1)])] {
-        let mut sim_log = PayloadLog::default();
-        let sim = run_with_backend(
-            &compiled,
-            &cfg,
-            &mut NoHooks,
-            plan.clone(),
-            CutPicker::AlignedSeq,
-            &mut sim_log,
-        );
-        assert_eq!(sim.failures.len(), plan.events().len());
-        assert_eq!(sim_log.0.len(), 10 * NPROCS);
-        assert_eq!(sim_log.0, expected(&sim), "run_with_backend");
-        assert_eq!(var_names(&sim_log.0, (0, 5)), ["acc", "i"]);
-        assert_eq!(var_names(&sim_log.0, (0, 6)), ["acc", "i", "late"]);
-
         // The passive coordinator of any accepted program takes every
         // `checkpoint` statement; the analysis itself is not under test.
         let mut prep = coordinator_for(
@@ -266,15 +211,18 @@ fn committed_payloads_equal_from_record_when_the_binding_row_changes() {
             NetworkModel::default(),
         )
         .expect("coordinator builds");
-        let mut det_log = PayloadLog::default();
+        let mut log = PayloadLog::default();
         let det = run_det(
             &compiled,
             &cfg,
             prep.coordinator.as_mut(),
-            &mut det_log,
-            plan,
+            &mut log,
+            plan.clone(),
         );
-        assert_eq!(det_log.0, expected(&det.trace), "run_det");
-        assert_eq!(det_log.0, sim_log.0, "run_det vs run_with_backend");
+        assert_eq!(det.trace.failures.len(), plan.events().len());
+        assert_eq!(log.0.len(), 10 * NPROCS);
+        assert_eq!(log.0, expected(&det.trace));
+        assert_eq!(var_names(&log.0, (0, 5)), ["acc", "i"]);
+        assert_eq!(var_names(&log.0, (0, 6)), ["acc", "i", "late"]);
     }
 }

@@ -18,10 +18,10 @@
 //! external dependencies. Conversion back to the engine's restorable
 //! [`Snapshot`] is lossless ([`StateSnapshot::to_snapshot`]).
 //!
-//! Every scheduler — this crate's engine, the runtime's deterministic
-//! mirror and its worker threads — builds what it commits through one
-//! helper, [`SlotSnapshot`]: a per-process portable snapshot filled in
-//! place from the interned slot rows, in the name order [`SlotNames`]
+//! Both schedulers — this crate's engine and the runtime's worker
+//! threads — build what they commit through one helper,
+//! [`SlotSnapshot`]: a per-process portable snapshot filled in place
+//! from the interned slot rows, in the name order [`SlotNames`]
 //! computed once for the run.
 
 use crate::clock::VectorClock;
@@ -306,8 +306,7 @@ impl StateSnapshot {
 }
 
 /// Builds a [`VarStore`] binding every `(name, value)` pair, in the
-/// given slot order. The portable replacement for the deprecated
-/// `VarStore::from_pairs`.
+/// given slot order.
 pub fn var_store(pairs: impl IntoIterator<Item = (String, i64)>) -> VarStore {
     let (names, values): (Vec<String>, Vec<i64>) = pairs.into_iter().unzip();
     let bound = vec![true; names.len()].into();
@@ -318,8 +317,7 @@ pub fn var_store(pairs: impl IntoIterator<Item = (String, i64)>) -> VarStore {
     }
 }
 
-/// Builds [`StmtInstances`] from `(stmt_id, count)` pairs. The portable
-/// replacement for the deprecated `StmtInstances::from_pairs`.
+/// Builds [`StmtInstances`] from `(stmt_id, count)` pairs.
 pub fn stmt_instances(pairs: impl IntoIterator<Item = (u32, u64)>) -> StmtInstances {
     let mut v = Vec::new();
     for (id, count) in pairs {
@@ -580,6 +578,7 @@ mod tests {
     use crate::engine::{run, run_with_backend};
     use crate::failure::{CutPicker, FailurePlan};
     use crate::hooks::NoHooks;
+    use crate::runlog::RunEvent;
     use crate::time::SimTime;
     use acfc_mpsl::programs;
 
@@ -742,7 +741,7 @@ mod tests {
         let compiled = crate::bytecode::compile(&programs::jacobi(5));
         let mut hooks = NoHooks;
         let mut backend = SimBackend::new();
-        let trace = run_with_backend(
+        let (trace, log) = run_with_backend(
             &compiled,
             &SimConfig::new(4),
             &mut hooks,
@@ -751,6 +750,21 @@ mod tests {
             &mut backend,
         );
         assert!(trace.completed());
+        // Failure-free, the log is the commits in trace order, then
+        // (interleaved) one halt per process.
+        let commits: Vec<(usize, u64)> = log
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                RunEvent::Checkpoint { proc, seq, .. } => Some((*proc, *seq)),
+                _ => None,
+            })
+            .collect();
+        let recorded: Vec<(usize, u64)> =
+            trace.checkpoints.iter().map(|c| (c.proc, c.seq)).collect();
+        assert_eq!(commits, recorded);
+        assert_eq!(log.events.len(), commits.len() + 4);
+        assert_eq!(log.final_vars.len(), 4);
         let mut live: Vec<(usize, u64)> = trace
             .checkpoints
             .iter()
@@ -776,7 +790,7 @@ mod tests {
         let compiled = crate::bytecode::compile(&programs::jacobi(6));
         let mut hooks = NoHooks;
         let mut backend = SimBackend::new();
-        let trace = run_with_backend(
+        let (trace, log) = run_with_backend(
             &compiled,
             &SimConfig::new(4),
             &mut hooks,
@@ -786,6 +800,17 @@ mod tests {
         );
         assert!(trace.completed());
         assert_eq!(trace.metrics.failures, 1);
+        // The kill and its recovery are logged back to back, with the
+        // cut the failure record names.
+        let k = log
+            .events
+            .iter()
+            .position(|e| matches!(e, RunEvent::Kill { proc: 1, .. }))
+            .expect("kill logged");
+        assert!(matches!(
+            &log.events[k + 1],
+            RunEvent::Recovery { killed: 1, restored, .. } if *restored == trace.failures[0].restored_seq
+        ));
         // After the rollback and re-execution, the committed set equals
         // the final live checkpoint set (re-taken seqs overwrote, rolled
         // back ones were discarded).

@@ -213,6 +213,19 @@ impl Compiled {
     pub fn is_empty(&self) -> bool {
         self.code.len() <= 1
     }
+
+    /// Parameter values by slot ([`Compiled::param_names`] order): the
+    /// program header's defaults, then `overrides` (later entries win);
+    /// `None` = referenced but never bound.
+    pub fn bind_params(&self, overrides: &[(String, i64)]) -> Vec<Option<i64>> {
+        let mut params = vec![None; self.param_names.len()];
+        for (k, v) in self.params.iter().chain(overrides) {
+            if let Some(s) = self.param_names.iter().position(|p| p == k) {
+                params[s] = Some(*v);
+            }
+        }
+        params
+    }
 }
 
 /// Compiles a program. Collectives are lowered first (on a clone).

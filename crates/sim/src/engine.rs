@@ -19,6 +19,7 @@ use crate::equeue::CalendarQueue;
 use crate::failure::{CutPicker, FailurePlan};
 use crate::hooks::{CoordinationCost, Hooks, NoHooks, RecvAction};
 use crate::obs::SimObs;
+use crate::runlog::{trigger_name, RunEvent, RunLog};
 use crate::time::SimTime;
 use crate::trace::{
     CheckpointRecord, CkptTrigger, FailureRecord, MessageRecord, Metrics, MsgId, Outcome, Snapshot,
@@ -75,8 +76,11 @@ pub fn run_with_failures(
 /// Fully general run with a [`StateBackend`] attached: every checkpoint
 /// the engine records is also committed to the backend, and rollbacks
 /// discard from it, so the backend's committed set tracks the trace's
-/// live checkpoints. The default entry points pass no backend and pay
-/// one never-taken branch per checkpoint.
+/// live checkpoints; the [`RunLog`] returned with the trace lists the
+/// commits, kills, recoveries and halts in the order they happened and
+/// the variables each process ended with. The default entry points
+/// pass no backend and pay one never-taken branch per checkpoint, halt
+/// and failure.
 pub fn run_with_backend(
     compiled: &Compiled,
     config: &SimConfig,
@@ -84,8 +88,12 @@ pub fn run_with_backend(
     plan: FailurePlan,
     picker: CutPicker,
     backend: &mut dyn StateBackend,
-) -> Trace {
-    Engine::new(compiled, config, hooks, plan, picker, None, Some(backend)).run()
+) -> (Trace, RunLog) {
+    let mut log = RunLog::default();
+    // Typed so that `backend` is reborrowed for as long as `log` lives.
+    let durable: (&mut dyn StateBackend, _) = (backend, &mut log);
+    let trace = Engine::new(compiled, config, hooks, plan, picker, None, Some(durable)).run();
+    (trace, log)
 }
 
 /// Runs like [`run`] while filling the per-run [`SimObs`] collector
@@ -352,7 +360,7 @@ struct Engine<'a> {
     obs: Option<&'a mut SimObs>,
     /// Opt-in durable state backend: committed on every checkpoint,
     /// discarded from on rollback; `None` (the default entry points)
-    /// costs one never-taken branch per checkpoint.
+    /// costs one never-taken branch per checkpoint, halt and failure.
     backend: Option<Durable<'a>>,
     /// Events popped off the queue — counted unconditionally (one
     /// plain add beats an `Option` branch in the hot loop) and copied
@@ -371,11 +379,15 @@ struct Engine<'a> {
     queue_depth: LocalHist,
 }
 
-/// The attached durable store and the reusable portable snapshot of
-/// each process that is committed to it.
+/// The attached durable store, the reusable portable snapshot of each
+/// process that is committed to it, and the log of what was committed,
+/// killed, recovered and halted.
 struct Durable<'a> {
     store: &'a mut dyn StateBackend,
+    /// The variable slot table in name order.
+    names: SlotNames,
     ports: Vec<SlotSnapshot>,
+    log: &'a mut RunLog,
 }
 
 const INLINE_BUDGET: u32 = 256;
@@ -388,26 +400,12 @@ impl<'a> Engine<'a> {
         plan: FailurePlan,
         picker: CutPicker,
         mut obs: Option<&'a mut SimObs>,
-        backend: Option<&'a mut dyn StateBackend>,
+        backend: Option<(&'a mut dyn StateBackend, &'a mut RunLog)>,
     ) -> Engine<'a> {
         let n = config.nprocs;
         assert!(n >= 1, "need at least one process");
         if let Some(o) = obs.as_deref_mut() {
             o.ensure_procs(n);
-        }
-        // Parameter slots: program defaults, then config overrides
-        // (later overrides win, as map insertion order did).
-        let mut params: Vec<Option<i64>> = vec![None; compiled.param_names.len()];
-        let slot_of = |name: &str| compiled.param_names.iter().position(|p| p == name);
-        for (k, v) in &compiled.params {
-            if let Some(s) = slot_of(k) {
-                params[s] = Some(*v);
-            }
-        }
-        for (k, v) in &config.param_overrides {
-            if let Some(s) = slot_of(k) {
-                params[s] = Some(*v);
-            }
         }
         // Declared variables occupy the leading slots and start bound
         // (initialised to 0); undeclared names bind on first assign.
@@ -471,17 +469,22 @@ impl<'a> Engine<'a> {
             outcome: None,
             max_time: SimTime::ZERO,
             inline_budget: INLINE_BUDGET,
-            params,
+            params: compiled.bind_params(&config.param_overrides),
             eval_stack: Vec::new(),
             use_timer_hook,
             passive_hooks,
             obs,
-            backend: backend.map(|store| {
+            backend: backend.map(|(store, log)| {
                 let names = SlotNames::new(compiled.var_names.clone());
                 let ports = (0..n)
                     .map(|p| SlotSnapshot::new(names.clone(), p, n))
                     .collect();
-                Durable { store, ports }
+                Durable {
+                    store,
+                    names,
+                    ports,
+                    log,
+                }
             }),
             events_processed: 0,
             run_ahead_hits: 0,
@@ -564,6 +567,14 @@ impl<'a> Engine<'a> {
             for (p, &us) in self.compute_us.iter().enumerate() {
                 o.per_proc[p].compute_us += us;
             }
+        }
+        if let Some(d) = self.backend.as_mut() {
+            d.log.final_vars = (0..self.config.nprocs)
+                .map(|p| {
+                    d.names
+                        .bound_pairs(self.procs.vars_of(p), self.procs.bound_of(p))
+                })
+                .collect();
         }
         Trace {
             nprocs: self.config.nprocs,
@@ -809,6 +820,12 @@ impl<'a> Engine<'a> {
                     self.procs.state[p] = PState::Halted;
                     self.procs.now[p] = now;
                     self.note_time(now);
+                    if let Some(d) = self.backend.as_mut() {
+                        d.log.events.push(RunEvent::Halt {
+                            proc: p,
+                            vtime_us: now.as_micros(),
+                        });
+                    }
                     return;
                 }
             }
@@ -1135,6 +1152,12 @@ impl<'a> Engine<'a> {
                 self.outcome
                     .get_or_insert(Outcome::RuntimeError(p, format!("backend commit: {e}")));
             }
+            d.log.events.push(RunEvent::Checkpoint {
+                proc: p,
+                seq: rec.seq,
+                trigger: trigger_name(trigger),
+                vtime_us: start.as_micros(),
+            });
         }
         *now = start + stall;
         if let Some(o) = self.obs.as_deref_mut() {
@@ -1344,6 +1367,7 @@ impl<'a> Engine<'a> {
         // Re-schedule in-flight deliveries (fresh jitter, FIFO per
         // channel preserved by delivery-time monotonicity below).
         redeliveries.sort_by_key(|&(i, _)| (self.messages[i].from, self.messages[i].send_step));
+        let redelivered = redeliveries.len();
         for (i, at) in redeliveries {
             let m = &self.messages[i];
             let (from, to, bits) = (m.from, m.to, m.size_bits);
@@ -1428,6 +1452,19 @@ impl<'a> Engine<'a> {
             self.procs.now[q] = resume;
             let epoch = self.epochs[q];
             self.push(resume, Ev::Ready { p: q, epoch });
+        }
+        if let Some(d) = self.backend.as_mut() {
+            d.log.events.push(RunEvent::Kill {
+                proc: p,
+                vtime_us: t.as_micros(),
+            });
+            d.log.events.push(RunEvent::Recovery {
+                killed: p,
+                vtime_us: resume.as_micros(),
+                restored: picked.clone(),
+                redelivered,
+                lost_us,
+            });
         }
         self.failures.push(FailureRecord {
             proc: p,

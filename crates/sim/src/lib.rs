@@ -54,6 +54,7 @@ pub mod failure;
 pub mod hooks;
 pub mod obs;
 pub mod perfetto;
+pub mod runlog;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -71,6 +72,7 @@ pub use failure::{CutPicker, FailurePlan, PickerFn, RecoveryView};
 pub use hooks::{CoordinationCost, Hooks, NoHooks, RecvAction, TimerCheckpoints};
 pub use obs::{ProcObs, SimObs};
 pub use perfetto::{merged_timeline, merged_timeline_json, timeline, timeline_json, MergedRun};
+pub use runlog::{trigger_name, RunEvent, RunLog};
 pub use stats::{render_stats, trace_stats, ProcBreakdown, TraceStats};
 pub use time::SimTime;
 pub use trace::{

@@ -48,18 +48,6 @@ pub struct VarStore {
 }
 
 impl VarStore {
-    /// Builds a store from explicit `(name, value)` bindings (all
-    /// bound).
-    #[deprecated(
-        since = "0.1.0",
-        note = "ad-hoc snapshot construction is superseded by the `backend` module: use \
-                `backend::var_store`, or build a `backend::StateSnapshot` and convert with \
-                `to_snapshot()`"
-    )]
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (String, i64)>) -> VarStore {
-        crate::backend::var_store(pairs)
-    }
-
     /// Wraps one process's slot rows without copying the shared parts:
     /// `names` is the compile-time slot table and `bound` the process's
     /// binding row, both refcounted across every snapshot that sees
@@ -155,17 +143,6 @@ impl Eq for VarStore {}
 pub struct StmtInstances(pub(crate) Vec<u64>);
 
 impl StmtInstances {
-    /// Builds counters from explicit `(stmt_id, count)` pairs.
-    #[deprecated(
-        since = "0.1.0",
-        note = "ad-hoc snapshot construction is superseded by the `backend` module: use \
-                `backend::stmt_instances`, or build a `backend::StateSnapshot` and convert \
-                with `to_snapshot()`"
-    )]
-    pub fn from_pairs(pairs: impl IntoIterator<Item = (u32, u64)>) -> StmtInstances {
-        crate::backend::stmt_instances(pairs)
-    }
-
     /// The instance count of statement `id` (0 if never executed).
     pub fn get(&self, id: u32) -> u64 {
         self.0.get(id as usize).copied().unwrap_or(0)
