@@ -16,6 +16,10 @@ pub struct Dominators {
     /// itself; unreachable nodes map to `None`.
     idom: Vec<Option<NodeId>>,
     entry: NodeId,
+    /// `span[n]` = `n`'s (entry, exit) times in a depth-first walk of
+    /// the dominator tree: `a` dominates `b` iff `a`'s interval encloses
+    /// `b`'s. `None` for unreachable nodes.
+    span: Vec<Option<(u32, u32)>>,
 }
 
 impl Dominators {
@@ -27,21 +31,9 @@ impl Dominators {
 
     /// `true` iff `a` dominates `b` (every node dominates itself).
     pub fn dominates(&self, a: NodeId, b: NodeId) -> bool {
-        if self.idom[b.index()].is_none() {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            if cur == self.entry {
-                return false;
-            }
-            match self.idom[cur.index()] {
-                Some(next) => cur = next,
-                None => return false,
-            }
+        match (self.span[a.index()], self.span[b.index()]) {
+            (Some((a_in, a_out)), Some((b_in, b_out))) => a_in <= b_in && b_out <= a_out,
+            _ => false,
         }
     }
 
@@ -117,7 +109,43 @@ pub fn dominators_with(cfg: &Cfg, orders: &DfsOrders) -> Dominators {
             }
         }
     }
-    Dominators { idom, entry }
+    let span = tree_spans(&idom, entry);
+    Dominators { idom, entry, span }
+}
+
+/// Entry/exit numbering of the dominator tree given by `idom`, by an
+/// iterative depth-first walk from `entry`.
+fn tree_spans(idom: &[Option<NodeId>], entry: NodeId) -> Vec<Option<(u32, u32)>> {
+    const NONE: usize = usize::MAX;
+    // The tree as child lists threaded through two flat arrays.
+    let mut first_child = vec![NONE; idom.len()];
+    let mut next_sibling = vec![NONE; idom.len()];
+    for (n, parent) in idom.iter().enumerate().rev() {
+        match parent {
+            Some(p) if n != entry.index() => {
+                next_sibling[n] = first_child[p.index()];
+                first_child[p.index()] = n;
+            }
+            _ => {}
+        }
+    }
+    let mut span = vec![None; idom.len()];
+    let mut clock = 0u32;
+    // Stack of (node, entry time); `first_child[node]` is consumed as
+    // the node's cursor over its children.
+    let mut stack = vec![(entry.index(), clock)];
+    while let Some(&(node, entered)) = stack.last() {
+        let child = first_child[node];
+        if child == NONE {
+            span[node] = Some((entered, clock));
+            stack.pop();
+        } else {
+            first_child[node] = next_sibling[child];
+            clock += 1;
+            stack.push((child, clock));
+        }
+    }
+    span
 }
 
 /// Naive O(V·E·V) dominator computation by dataflow fixpoint:

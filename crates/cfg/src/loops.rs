@@ -44,7 +44,8 @@ impl NaturalLoop {
 /// loop depth.
 #[derive(Debug, Clone)]
 pub struct LoopInfo {
-    /// All backward edges `(a, b)` (i.e. `b` dominates `a`).
+    /// All backward edges `(a, b)` (i.e. `b` dominates `a`), in
+    /// ascending order of the source `a`.
     pub back_edges: Vec<(NodeId, NodeId, EdgeLabel)>,
     /// Natural loops, one per backward edge (loops sharing a header are
     /// kept separate, as in the paper's definition).
@@ -66,7 +67,11 @@ impl LoopInfo {
 
     /// `true` iff the edge `(a, b)` is one of the backward edges.
     pub fn is_back_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.back_edges.iter().any(|&(x, y, _)| x == a && y == b)
+        let from = self.back_edges.partition_point(|&(x, _, _)| x < a);
+        self.back_edges[from..]
+            .iter()
+            .take_while(|&&(x, _, _)| x == a)
+            .any(|&(_, y, _)| y == b)
     }
 
     /// The innermost loops containing `n` (smallest member count first).

@@ -10,9 +10,8 @@
 //! branch condition is rank-determined.
 
 use crate::iddep::IdDepInfo;
-use acfc_cfg::{Cfg, EdgeLabel, NodeId, NodeKind};
-use acfc_mpsl::{rank_eval, RankEnv, RankVal};
-use std::collections::HashMap;
+use acfc_cfg::{dfs, Cfg, EdgeLabel, NodeId, NodeKind};
+use acfc_mpsl::{rank_eval, RankVal};
 use std::fmt;
 
 /// Maximum number of processes an analysis instance supports (rank sets
@@ -154,16 +153,20 @@ impl NodeAttrs {
 pub fn compute_attrs(cfg: &Cfg, n: usize, iddep: &IdDepInfo) -> NodeAttrs {
     let mut attrs = vec![RankSet::empty(n); cfg.len()];
     attrs[cfg.entry().index()] = RankSet::full(n);
-    let params: HashMap<String, i64> = iddep.params.clone();
+    // Reverse postorder puts a join after both its arms, so a loop-free
+    // CFG settles in one sweep (plus the one that sees no change); node
+    // ids would need a sweep per `if` in sequence, because a join is
+    // numbered before its arms.
+    let order = dfs(cfg).reverse_postorder();
     let mut changed = true;
     while changed {
         changed = false;
-        for a in cfg.node_ids() {
+        for &a in &order {
             if attrs[a.index()].is_empty() {
                 continue;
             }
             for &(b, label) in cfg.succs(a) {
-                let contribution = constrain_edge(cfg, iddep, &params, a, label, attrs[a.index()]);
+                let contribution = constrain_edge(cfg, iddep, a, label, attrs[a.index()]);
                 let merged = attrs[b.index()].union(&contribution);
                 if merged != attrs[b.index()] {
                     attrs[b.index()] = merged;
@@ -178,7 +181,6 @@ pub fn compute_attrs(cfg: &Cfg, n: usize, iddep: &IdDepInfo) -> NodeAttrs {
 fn constrain_edge(
     cfg: &Cfg,
     iddep: &IdDepInfo,
-    params: &HashMap<String, i64>,
     a: NodeId,
     label: EdgeLabel,
     incoming: RankSet,
@@ -192,16 +194,9 @@ fn constrain_edge(
         EdgeLabel::Seq => return incoming,
     };
     let n = incoming.universe();
-    let var_exprs = iddep.env_at(a);
     let mut out = RankSet::empty(n);
     for r in incoming.iter() {
-        let env = RankEnv {
-            rank: r as i64,
-            nprocs: n as i64,
-            params,
-            var_exprs,
-        };
-        match rank_eval(cond, &env) {
+        match rank_eval(cond, &iddep.rank_env(a, r, n)) {
             RankVal::Known(v) => {
                 if (v != 0) == want_true {
                     out.insert(r);

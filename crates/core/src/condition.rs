@@ -19,7 +19,8 @@
 //!   situation, where B checkpoints once while A's index repeats.
 //!
 //! The checker reports one witness path per violating pair for
-//! diagnostics; Phase III (Algorithm 3.2) consumes the violations.
+//! diagnostics; Phase III (Algorithm 3.2) consumes the violations'
+//! endpoints and skips the path search.
 
 use crate::cuts::CheckpointIndex;
 use crate::extended::ExtendedCfg;
@@ -57,14 +58,34 @@ pub struct Violation {
 /// Checks Condition 1 over all same-index checkpoint pairs.
 ///
 /// Returns all violating ordered pairs (empty = the condition holds and
-/// Theorem 3.2 applies).
+/// Theorem 3.2 applies), each with a witness path.
 pub fn check_condition1(
     g: &ExtendedCfg,
     index: &CheckpointIndex,
     policy: LoopPolicy,
 ) -> Vec<Violation> {
-    let mut out = Vec::new();
+    let mut out = violating_pairs(g, index, policy);
+    if out.is_empty() {
+        return out;
+    }
     let adj_full = g.adjacency_full();
+    for v in &mut out {
+        v.witness = find_path(&adj_full, v.from.index(), v.to.index(), &|_, _| true)
+            .map(|p| p.into_iter().map(|i| NodeId(i as u32)).collect())
+            .unwrap_or_default();
+    }
+    out
+}
+
+/// [`check_condition1`] without the path search: every violation's
+/// `witness` is left empty. Algorithm 3.2 relocates one checkpoint per
+/// round from a violation's endpoints alone, so it asks this.
+pub(crate) fn violating_pairs(
+    g: &ExtendedCfg,
+    index: &CheckpointIndex,
+    policy: LoopPolicy,
+) -> Vec<Violation> {
+    let mut out = Vec::new();
     for (a, b) in index.same_index_pairs() {
         for (from, to) in [(a, b), (b, a)] {
             // Only message-crossing paths witness cross-process
@@ -82,16 +103,12 @@ pub fn check_condition1(
             if !violation {
                 continue;
             }
-            let shared = index.ranges[&from].min.max(index.ranges[&to].min);
-            let witness = find_path(&adj_full, from.index(), to.index(), &|_, _| true)
-                .map(|p| p.into_iter().map(|i| NodeId(i as u32)).collect())
-                .unwrap_or_default();
             out.push(Violation {
                 from,
                 to,
-                index: shared,
+                index: index.ranges[&from].min.max(index.ranges[&to].min),
                 only_via_back_edge: !forward,
-                witness,
+                witness: Vec::new(),
             });
         }
     }

@@ -8,7 +8,7 @@
 //! the loop optimization distinguishes).
 
 use crate::matching::{Matching, MessageEdge};
-use acfc_cfg::{loop_info, to_dot, Cfg, LoopInfo, NodeId, Reach};
+use acfc_cfg::{dominators, loop_info_with, to_dot, Cfg, Dominators, LoopInfo, NodeId, Reach};
 use std::collections::HashMap;
 
 /// The extended CFG of a program.
@@ -20,92 +20,120 @@ pub struct ExtendedCfg {
     pub message_edges: Vec<MessageEdge>,
     /// Loop structure of the CFG (backward edges, natural loops).
     pub loops: LoopInfo,
+    /// Dominator tree of the CFG (what `loops` was derived from, kept
+    /// for Algorithm 3.2's walk up a checkpoint's dominator chain).
+    pub(crate) dom: Dominators,
     /// Reachability over all edges of `Ĝ`.
-    reach_full: Reach,
+    full: Closure,
     /// Reachability over `Ĝ` minus the CFG's backward edges (message
-    /// edges retained).
-    reach_forward: Reach,
-    /// Per-checkpoint "message-reach" rows over `reach_full`: bit `b`
-    /// of `msg_full[c]` is set iff some message edge `e` satisfies
-    /// `c ⇝= e.send` and `e.recv ⇝= b`. Condition 1 probes these rows
-    /// instead of scanning every message edge per checkpoint pair.
-    msg_full: HashMap<NodeId, Vec<u64>>,
-    /// Same rows over `reach_forward` (no CFG backward edges).
-    msg_forward: HashMap<NodeId, Vec<u64>>,
+    /// edges retained). `None` when the CFG has no backward edge: the
+    /// relation is then `full` itself and is not computed twice.
+    forward: Option<Closure>,
 }
 
-/// OR-precomputation of the per-checkpoint message-reach rows (see
-/// [`ExtendedCfg::reaches_via_message`]): for each checkpoint `c`, the
-/// union over admissible message edges of `{e.recv} ∪ row(e.recv)` —
-/// whole-row bitset unions via [`Reach::row`], not per-bit probes.
-fn message_rows(
-    checkpoints: &[NodeId],
-    edges: &[MessageEdge],
-    reach: &Reach,
-) -> HashMap<NodeId, Vec<u64>> {
-    let words = reach.row_words();
-    checkpoints
-        .iter()
-        .map(|&c| {
-            let mut row = vec![0u64; words];
-            for e in edges {
-                if !reach.reachable_or_eq(c.index(), e.send.index()) {
-                    continue;
+/// A reachability relation over `Ĝ` with its per-checkpoint
+/// "message-reach" rows: bit `b` of `msg[c]` is set iff some message
+/// edge `e` satisfies `c ⇝= e.send` and `e.recv ⇝= b`. Condition 1
+/// probes these rows instead of scanning every message edge per
+/// checkpoint pair.
+#[derive(Debug, Clone)]
+struct Closure {
+    reach: Reach,
+    msg: HashMap<NodeId, Vec<u64>>,
+}
+
+impl Closure {
+    /// Closes `succs` and OR-precomputes the message-reach rows: for
+    /// each checkpoint `c`, the union over admissible message edges of
+    /// `{e.recv} ∪ row(e.recv)` — whole-row bitset unions via
+    /// [`Reach::row`], not per-bit probes.
+    fn compute(succs: &[Vec<usize>], checkpoints: &[NodeId], edges: &[MessageEdge]) -> Closure {
+        let reach = Reach::compute(succs);
+        let words = reach.row_words();
+        let msg = checkpoints
+            .iter()
+            .map(|&c| {
+                let mut row = vec![0u64; words];
+                for e in edges {
+                    if !reach.reachable_or_eq(c.index(), e.send.index()) {
+                        continue;
+                    }
+                    let r = e.recv.index();
+                    row[r / 64] |= 1u64 << (r % 64);
+                    for (dst, src) in row.iter_mut().zip(reach.row(r)) {
+                        *dst |= src;
+                    }
                 }
-                let r = e.recv.index();
-                row[r / 64] |= 1u64 << (r % 64);
-                for (dst, src) in row.iter_mut().zip(reach.row(r)) {
-                    *dst |= src;
-                }
-            }
-            (c, row)
-        })
-        .collect()
+                (c, row)
+            })
+            .collect();
+        Closure { reach, msg }
+    }
+
+    /// `true` iff a path from `a` to `b` in this relation crosses at
+    /// least one of `edges`.
+    fn reaches_via_message(&self, edges: &[MessageEdge], a: NodeId, b: NodeId) -> bool {
+        match self.msg.get(&a) {
+            // Checkpoint sources (Condition 1's only callers) hit the
+            // precomputed row: a single bit probe.
+            Some(row) => row[b.index() / 64] & (1u64 << (b.index() % 64)) != 0,
+            None => edges.iter().any(|e| {
+                self.reach.reachable_or_eq(a.index(), e.send.index())
+                    && self.reach.reachable_or_eq(e.recv.index(), b.index())
+            }),
+        }
+    }
 }
 
 impl ExtendedCfg {
     /// Builds `Ĝ` from a CFG and a matching.
     pub fn build(cfg: Cfg, matching: &Matching) -> ExtendedCfg {
-        let loops = loop_info(&cfg);
+        let dom = dominators(&cfg);
+        let loops = loop_info_with(&cfg, &dom);
         let n = cfg.len();
         let mut full: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut forward: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (a, b, _) in cfg.edges() {
             full[a.index()].push(b.index());
-            if !loops.is_back_edge(a, b) {
-                forward[a.index()].push(b.index());
-            }
         }
         for e in &matching.edges {
             full[e.send.index()].push(e.recv.index());
-            forward[e.send.index()].push(e.recv.index());
         }
-        let reach_full = Reach::compute(&full);
-        let reach_forward = Reach::compute(&forward);
         let checkpoints = cfg.checkpoint_nodes();
-        let msg_full = message_rows(&checkpoints, &matching.edges, &reach_full);
-        let msg_forward = message_rows(&checkpoints, &matching.edges, &reach_forward);
+        let forward = (!loops.back_edges.is_empty()).then(|| {
+            let mut forward = full.clone();
+            for &(a, b, _) in &loops.back_edges {
+                let at = forward[a.index()]
+                    .iter()
+                    .position(|&t| t == b.index())
+                    .expect("a backward edge is a CFG edge");
+                forward[a.index()].remove(at);
+            }
+            Closure::compute(&forward, &checkpoints, &matching.edges)
+        });
         ExtendedCfg {
+            full: Closure::compute(&full, &checkpoints, &matching.edges),
+            forward,
             cfg,
             message_edges: matching.edges.clone(),
             loops,
-            reach_full,
-            reach_forward,
-            msg_full,
-            msg_forward,
+            dom,
         }
+    }
+
+    fn forward(&self) -> &Closure {
+        self.forward.as_ref().unwrap_or(&self.full)
     }
 
     /// `true` iff a path of length ≥ 1 exists from `a` to `b` in `Ĝ`
     /// (backward edges included).
     pub fn reaches(&self, a: NodeId, b: NodeId) -> bool {
-        self.reach_full.reachable(a.index(), b.index())
+        self.full.reach.reachable(a.index(), b.index())
     }
 
     /// `true` iff a path exists from `a` to `b` in `Ĝ` that uses **no
     /// CFG backward edge** (message edges allowed).
     pub fn reaches_forward(&self, a: NodeId, b: NodeId) -> bool {
-        self.reach_forward.reachable(a.index(), b.index())
+        self.forward().reach.reachable(a.index(), b.index())
     }
 
     /// `true` iff a `Ĝ`-path from `a` to `b` exists that crosses at
@@ -115,30 +143,14 @@ impl ExtendedCfg {
     /// message-free CFG paths between checkpoints with disjoint rank
     /// attributes are not cross-process causality.
     pub fn reaches_via_message(&self, a: NodeId, b: NodeId) -> bool {
-        match self.msg_full.get(&a) {
-            // Checkpoint sources (Condition 1's only callers) hit the
-            // precomputed row: a single bit probe.
-            Some(row) => row[b.index() / 64] & (1u64 << (b.index() % 64)) != 0,
-            None => self.message_edges.iter().any(|e| {
-                self.reach_full.reachable_or_eq(a.index(), e.send.index())
-                    && self.reach_full.reachable_or_eq(e.recv.index(), b.index())
-            }),
-        }
+        self.full.reaches_via_message(&self.message_edges, a, b)
     }
 
     /// Like [`ExtendedCfg::reaches_via_message`], using no CFG backward
     /// edges.
     pub fn reaches_forward_via_message(&self, a: NodeId, b: NodeId) -> bool {
-        match self.msg_forward.get(&a) {
-            Some(row) => row[b.index() / 64] & (1u64 << (b.index() % 64)) != 0,
-            None => self.message_edges.iter().any(|e| {
-                self.reach_forward
-                    .reachable_or_eq(a.index(), e.send.index())
-                    && self
-                        .reach_forward
-                        .reachable_or_eq(e.recv.index(), b.index())
-            }),
-        }
+        self.forward()
+            .reaches_via_message(&self.message_edges, a, b)
     }
 
     /// Adjacency of `Ĝ` (all edges) as raw lists, for path finding.
@@ -277,13 +289,14 @@ mod tests {
         for c in g.cfg.checkpoint_nodes() {
             for b in g.cfg.node_ids() {
                 let scan_full = g.message_edges.iter().any(|e| {
-                    g.reach_full.reachable_or_eq(c.index(), e.send.index())
-                        && g.reach_full.reachable_or_eq(e.recv.index(), b.index())
+                    g.full.reach.reachable_or_eq(c.index(), e.send.index())
+                        && g.full.reach.reachable_or_eq(e.recv.index(), b.index())
                 });
                 assert_eq!(g.reaches_via_message(c, b), scan_full, "full ({c},{b})");
+                let forward = &g.forward.as_ref().expect("the loop has a back edge").reach;
                 let scan_fwd = g.message_edges.iter().any(|e| {
-                    g.reach_forward.reachable_or_eq(c.index(), e.send.index())
-                        && g.reach_forward.reachable_or_eq(e.recv.index(), b.index())
+                    forward.reachable_or_eq(c.index(), e.send.index())
+                        && forward.reachable_or_eq(e.recv.index(), b.index())
                 });
                 assert_eq!(
                     g.reaches_forward_via_message(c, b),

@@ -10,8 +10,9 @@
 //! every branch node.
 
 use acfc_cfg::{Cfg, NodeId, NodeKind};
-use acfc_mpsl::{rank_eval, Expr, Program, RankEnv, RankVal};
+use acfc_mpsl::{rank_eval, Expr, Program, RankEnv, RankExprId, RankExprs, RankVal};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Classification of a branch node's condition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,12 +32,20 @@ pub enum BranchClass {
     Irregular,
 }
 
+/// A must-environment: variables resolved to closed rank expressions
+/// (over `rank`, `nprocs`, params, ints, `input`), as ids into the
+/// analysis's [`RankExprs`] pool.
+type Env = HashMap<String, RankExprId>;
+
 /// Result of the ID-dependence dataflow.
 #[derive(Debug, Clone)]
 pub struct IdDepInfo {
-    /// Per-node must-environment: variables resolved to closed rank
-    /// expressions (over `rank`, `nprocs`, params, ints, `input`).
-    envs: Vec<HashMap<String, Expr>>,
+    /// The closed expressions every environment points into.
+    exprs: RankExprs,
+    /// Per-node must-environment. A run of nodes that see the same
+    /// bindings shares one map: only an assignment that changes a
+    /// binding, or a join that drops one, makes a new map.
+    envs: Vec<Arc<Env>>,
     /// Per-branch-node classification (indexed by node).
     classes: HashMap<NodeId, BranchClass>,
     /// Program parameter defaults (needed by downstream evaluation).
@@ -44,9 +53,27 @@ pub struct IdDepInfo {
 }
 
 impl IdDepInfo {
-    /// The resolved-variable environment holding **at entry to** `node`.
-    pub fn env_at(&self, node: NodeId) -> &HashMap<String, Expr> {
-        &self.envs[node.index()]
+    /// The resolved-variable environment holding **at entry to** `node`,
+    /// with every binding written out as a plain expression tree (for
+    /// diagnostics and tests; the analysis evaluates through
+    /// [`IdDepInfo::rank_env`] without copying anything out).
+    pub fn env_at(&self, node: NodeId) -> HashMap<String, Expr> {
+        self.envs[node.index()]
+            .iter()
+            .map(|(var, &id)| (var.clone(), self.exprs.to_expr(id)))
+            .collect()
+    }
+
+    /// The environment [`rank_eval`] needs to evaluate an expression of
+    /// `node` at `rank` of `nprocs`.
+    pub fn rank_env(&self, node: NodeId, rank: usize, nprocs: usize) -> RankEnv<'_> {
+        RankEnv {
+            rank: rank as i64,
+            nprocs: nprocs as i64,
+            params: &self.params,
+            vars: &self.envs[node.index()],
+            exprs: &self.exprs,
+        }
     }
 
     /// Classification of a branch node (`None` for non-branch nodes).
@@ -60,13 +87,6 @@ impl IdDepInfo {
     }
 }
 
-/// `true` when `e` is *closed*: mentions only `rank`, `nprocs`,
-/// parameters, integers, and `input(·)` — i.e. it can be carried in a
-/// must-environment without aliasing mutable state.
-fn is_closed(e: &Expr) -> bool {
-    !e.mentions_var()
-}
-
 /// Runs the dataflow at a sample `n` (used only to classify branches;
 /// environments are symbolic and `n`-independent).
 pub fn analyze_iddep(cfg: &Cfg, program: &Program) -> IdDepInfo {
@@ -76,96 +96,137 @@ pub fn analyze_iddep(cfg: &Cfg, program: &Program) -> IdDepInfo {
 /// Like [`analyze_iddep`] with an explicit sample `n` for branch
 /// classification (`n ≥ 2`; classification compares the condition's
 /// truth value across ranks `0..n`).
+///
+/// The dataflow costs `O(nodes + assignments · (|rhs| + bindings))`:
+/// a node's transfer runs again only when its input environment was
+/// replaced, environments are shared rather than copied along
+/// straight-line code, and a rebinding adds `|rhs|` pool nodes however
+/// large the expression it extends has grown.
 pub fn analyze_iddep_at(cfg: &Cfg, program: &Program, sample_n: usize) -> IdDepInfo {
     assert!(sample_n >= 2, "need n >= 2 to witness rank dependence");
-    let params: HashMap<String, i64> = program.params.iter().cloned().collect();
-    let len = cfg.len();
+    let mut exprs = RankExprs::default();
     // Must-analysis lattice: ⊤ = "unvisited" (None), otherwise a map;
-    // meet = intersection of equal bindings.
-    let mut envs: Vec<Option<HashMap<String, Expr>>> = vec![None; len];
-    envs[cfg.entry().index()] = Some(HashMap::new());
+    // meet = intersection of equal bindings. A node's environment only
+    // ever loses bindings once set, so the sweep below reaches the same
+    // greatest fixpoint in whatever order nodes are taken.
+    let mut envs: Vec<Option<Arc<Env>>> = vec![None; cfg.len()];
+    envs[cfg.entry().index()] = Some(Arc::default());
+    // `dirty[a]`: a's environment was replaced since a was last pushed
+    // through its transfer function.
+    let mut dirty = vec![false; cfg.len()];
+    dirty[cfg.entry().index()] = true;
+    let mut copied = 0usize;
     let mut changed = true;
     while changed {
         changed = false;
         for a in cfg.node_ids() {
-            let Some(env_in) = envs[a.index()].clone() else {
+            if !std::mem::take(&mut dirty[a.index()]) {
                 continue;
-            };
-            // Transfer through the node.
-            let env_out = transfer(cfg, a, env_in);
+            }
+            let env_in = envs[a.index()].clone().expect("dirty nodes are visited");
+            let env_out = transfer(cfg, a, env_in, &mut exprs, &mut copied);
             for &(b, _) in cfg.succs(a) {
                 let merged = match &envs[b.index()] {
-                    None => env_out.clone(),
-                    Some(cur) => meet(cur, &env_out),
+                    None => Some(env_out.clone()),
+                    Some(cur) => meet(cur, &env_out, &mut copied),
                 };
-                if envs[b.index()].as_ref() != Some(&merged) {
+                if let Some(merged) = merged {
                     envs[b.index()] = Some(merged);
+                    dirty[b.index()] = true;
                     changed = true;
                 }
             }
         }
     }
-    let envs: Vec<HashMap<String, Expr>> =
-        envs.into_iter().map(|e| e.unwrap_or_default()).collect();
-    // Classify branches.
-    let mut classes = HashMap::new();
+    acfc_obs::count("core/iddep/cloned", (copied + exprs.len()) as u64);
+    let mut info = IdDepInfo {
+        exprs,
+        envs: envs.into_iter().map(Option::unwrap_or_default).collect(),
+        classes: HashMap::new(),
+        params: program.params.iter().cloned().collect(),
+    };
     for b in cfg.branch_nodes() {
-        let NodeKind::Branch { cond } = &cfg.node(b).kind else {
-            unreachable!()
-        };
-        let var_exprs = &envs[b.index()];
-        let mut vals = Vec::with_capacity(sample_n);
-        let mut any_unknown = false;
-        let mut any_irregular = false;
-        for r in 0..sample_n {
-            let env = RankEnv {
-                rank: r as i64,
-                nprocs: sample_n as i64,
-                params: &params,
-                var_exprs,
-            };
-            match rank_eval(cond, &env) {
-                RankVal::Known(v) => vals.push(v != 0),
-                RankVal::Unknown => any_unknown = true,
-                RankVal::Irregular => any_irregular = true,
-            }
-        }
-        let class = if any_irregular {
-            BranchClass::Irregular
-        } else if any_unknown {
-            BranchClass::Unresolved
-        } else if vals.windows(2).all(|w| w[0] == w[1]) {
-            BranchClass::Uniform
-        } else {
-            BranchClass::IdDependent
-        };
-        classes.insert(b, class);
+        let class = classify(cfg, &info, b, sample_n);
+        info.classes.insert(b, class);
     }
-    IdDepInfo {
-        envs,
-        classes,
-        params,
-    }
+    info
 }
 
-fn transfer(cfg: &Cfg, node: NodeId, mut env: HashMap<String, Expr>) -> HashMap<String, Expr> {
-    if let NodeKind::Assign { var, value } = &cfg.node(node).kind {
-        // Substitute known bindings into the RHS; keep only if closed.
-        let substituted = value.substitute(&|name| env.get(name).cloned());
-        if is_closed(&substituted) {
-            env.insert(var.clone(), substituted);
-        } else {
-            env.remove(var);
-        }
+/// The environment after `node`: `env` itself unless the node is an
+/// assignment that changes a binding. `copied` counts the bindings
+/// carried over into new maps.
+fn transfer(
+    cfg: &Cfg,
+    node: NodeId,
+    env: Arc<Env>,
+    exprs: &mut RankExprs,
+    copied: &mut usize,
+) -> Arc<Env> {
+    let NodeKind::Assign { var, value } = &cfg.node(node).kind else {
+        return env;
+    };
+    // Substitute known bindings into the RHS; keep only if closed.
+    let bound = exprs.close(value, &env);
+    if env.get(var).copied() == bound {
+        return env;
     }
-    env
+    *copied += env.len();
+    let mut out = Env::clone(&env);
+    match bound {
+        Some(id) => out.insert(var.clone(), id),
+        None => out.remove(var),
+    };
+    Arc::new(out)
 }
 
-fn meet(a: &HashMap<String, Expr>, b: &HashMap<String, Expr>) -> HashMap<String, Expr> {
-    a.iter()
-        .filter(|(k, v)| b.get(*k) == Some(v))
-        .map(|(k, v)| (k.clone(), v.clone()))
-        .collect()
+/// `cur ⊓ incoming` when that differs from `cur`, `None` when `cur`
+/// already holds nothing `incoming` lacks.
+fn meet(cur: &Arc<Env>, incoming: &Arc<Env>, copied: &mut usize) -> Option<Arc<Env>> {
+    if Arc::ptr_eq(cur, incoming) {
+        return None;
+    }
+    let agrees = |(var, id): &(&String, &RankExprId)| incoming.get(*var) == Some(*id);
+    let kept = cur.iter().filter(agrees).count();
+    if kept == cur.len() {
+        return None;
+    }
+    if kept == incoming.len() {
+        // Everything `incoming` binds survives: the meet *is* `incoming`.
+        return Some(incoming.clone());
+    }
+    *copied += kept;
+    Some(Arc::new(
+        cur.iter()
+            .filter(agrees)
+            .map(|(var, &id)| (var.clone(), id))
+            .collect(),
+    ))
+}
+
+/// Classifies branch `b` by its condition's value at ranks `0..sample_n`.
+fn classify(cfg: &Cfg, info: &IdDepInfo, b: NodeId, sample_n: usize) -> BranchClass {
+    let NodeKind::Branch { cond } = &cfg.node(b).kind else {
+        unreachable!("branch_nodes yields branch nodes")
+    };
+    let mut vals = Vec::with_capacity(sample_n);
+    let mut any_unknown = false;
+    let mut any_irregular = false;
+    for r in 0..sample_n {
+        match rank_eval(cond, &info.rank_env(b, r, sample_n)) {
+            RankVal::Known(v) => vals.push(v != 0),
+            RankVal::Unknown => any_unknown = true,
+            RankVal::Irregular => any_irregular = true,
+        }
+    }
+    if any_irregular {
+        BranchClass::Irregular
+    } else if any_unknown {
+        BranchClass::Unresolved
+    } else if vals.windows(2).all(|w| w[0] == w[1]) {
+        BranchClass::Uniform
+    } else {
+        BranchClass::IdDependent
+    }
 }
 
 #[cfg(test)]
@@ -262,5 +323,61 @@ mod tests {
         // One loop (Unresolved) and the odd/even branch (IdDependent).
         assert!(classes.contains(&BranchClass::Unresolved));
         assert!(classes.contains(&BranchClass::IdDependent));
+    }
+
+    #[test]
+    fn classification_samples_the_ranks_it_is_given() {
+        // `rank % 16 < 8` holds for all of ranks 0..8 and splits 0..64:
+        // the fixed sample of `analyze_iddep` cannot see that, the
+        // pipeline (which classifies at its own `n`) can.
+        let p = parse("program t; if rank % 16 < 8 { compute 1; }").unwrap();
+        let (cfg, lowered) = build_cfg(&p);
+        let b = cfg.branch_nodes()[0];
+        let at = |n| analyze_iddep_at(&cfg, &lowered, n).branch_class(b);
+        assert_eq!(at(64), Some(BranchClass::IdDependent));
+        assert_eq!(at(8), Some(BranchClass::Uniform));
+        assert_eq!(
+            analyze_iddep(&cfg, &lowered).branch_class(b),
+            Some(BranchClass::Uniform)
+        );
+    }
+
+    /// Evaluation gives up 64 levels down (`rank_eval`'s depth limit),
+    /// so a branch on a variable rebound more than 61 times below
+    /// `x % 2 == 0` is unresolved. Pinned as it was when bindings were
+    /// substituted trees: sharing subterms must not move the cliff.
+    #[test]
+    fn long_assignment_chain_classifies_as_before() {
+        for (links, want) in [
+            (61, BranchClass::IdDependent),
+            (62, BranchClass::Unresolved),
+            (200, BranchClass::Unresolved),
+        ] {
+            let src = format!(
+                "program t; var x; x := rank; {} if x % 2 == 0 {{ compute 1; }}",
+                "x := x + 1; ".repeat(links)
+            );
+            let (cfg, info) = info_for(&src);
+            let b = cfg.branch_nodes()[0];
+            assert_eq!(info.branch_class(b), Some(want), "{links} links");
+            // The binding itself is kept whole either way.
+            assert!(info.env_at(b).contains_key("x"));
+        }
+    }
+
+    #[test]
+    fn nodes_between_assignments_share_one_environment() {
+        let (cfg, info) = info_for(
+            "program t; var a; a := rank; compute 1; send to a; checkpoint; a := a + 1; compute 2;",
+        );
+        let env = |tag: &str| {
+            let n = cfg.nodes_where(|k| k.tag() == tag)[0];
+            &info.envs[n.index()]
+        };
+        assert!(Arc::ptr_eq(env("send"), env("chkpt")));
+        assert!(Arc::ptr_eq(env("send"), env("compute")));
+        assert!(!Arc::ptr_eq(env("send"), env("exit")));
+        // rank, 1, rank + 1: three nodes for two bindings.
+        assert_eq!(info.exprs.len(), 3);
     }
 }

@@ -66,5 +66,5 @@ pub use phase1::{
     rebalance_checkpoints, InsertionConfig, InsertionReport,
 };
 pub use phase3::{ensure_recovery_lines, MoveRecord, Phase3Config, Phase3Error, Phase3Result};
-pub use pipeline::{analyze, Analysis, AnalysisConfig, AnalysisError};
+pub use pipeline::{analyze, check_nprocs, Analysis, AnalysisConfig, AnalysisError};
 pub use reanalysis::ReanalysisCache;

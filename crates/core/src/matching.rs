@@ -20,11 +20,11 @@
 //! always among the matches) and errs toward more message edges, i.e.
 //! toward *more* conservative checkpoint placement in Phase III.
 
-use crate::attr::NodeAttrs;
+use crate::attr::{NodeAttrs, RankSet};
 use crate::iddep::IdDepInfo;
 use acfc_cfg::{dfs, Cfg, NodeId, NodeKind};
-use acfc_mpsl::{rank_eval, Expr, RankEnv, RankVal, RecvSrc};
-use std::collections::HashMap;
+use acfc_mpsl::{rank_eval, Expr, RankVal, RecvSrc};
+use std::collections::{HashMap, HashSet};
 
 /// How aggressively to match (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,31 +105,132 @@ impl Matching {
     }
 }
 
-/// How a send's destination resolves at a given sender rank.
+/// Where a statement's peer expression (a send's destination, a
+/// receive's source) points at one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Resolved {
-    Exactly(usize),
+enum Peer {
+    /// Exactly this rank (`< n ≤ MAX_ANALYSIS_RANKS`, so it fits).
+    Exactly(u8),
+    /// Irregular or unresolvable: possibly any rank.
     AnyRank,
-    OutOfRange,
+    /// The rank cannot execute the statement, or the expression
+    /// evaluates outside `0..n`.
+    Nowhere,
 }
 
-fn resolve(
-    expr: &Expr,
-    rank: usize,
-    n: usize,
-    params: &HashMap<String, i64>,
-    var_exprs: &HashMap<String, Expr>,
-) -> Resolved {
-    let env = RankEnv {
-        rank: rank as i64,
-        nprocs: n as i64,
-        params,
-        var_exprs,
-    };
-    match rank_eval(expr, &env) {
-        RankVal::Known(v) if v >= 0 && (v as usize) < n => Resolved::Exactly(v as usize),
-        RankVal::Known(_) => Resolved::OutOfRange,
-        RankVal::Unknown | RankVal::Irregular => Resolved::AnyRank,
+impl Peer {
+    /// `Some(exact)` if a message to/from `rank` is possible.
+    fn admits(self, rank: usize) -> Option<bool> {
+        match self {
+            Peer::Exactly(v) => (usize::from(v) == rank).then_some(true),
+            Peer::AnyRank => Some(false),
+            Peer::Nowhere => None,
+        }
+    }
+}
+
+/// One side of the program's communication — all its sends, or all its
+/// receives — with every peer expression evaluated once per rank that
+/// can execute the statement. A destination depends only on the sender's
+/// rank and a source only on the receiver's, so this is all the
+/// rank-expression evaluation matching needs: at most `n` per statement.
+struct Side {
+    /// The statements' nodes, in program (source) order.
+    nodes: Vec<NodeId>,
+    /// `at[i][rank]`: where `nodes[i]`'s peer expression points.
+    at: Vec<Vec<Peer>>,
+    /// `reach[rank]`: the peers `rank`'s statements may address.
+    reach: Vec<RankSet>,
+    /// Rank-expression evaluations performed.
+    evals: usize,
+}
+
+impl Side {
+    /// Resolves the statements among `reachable` that `peer_expr` selects
+    /// (`Some(None)` for a wildcard peer, `None` for other nodes).
+    fn resolve<'c>(
+        cfg: &'c Cfg,
+        reachable: &[NodeId],
+        attrs: &NodeAttrs,
+        iddep: &IdDepInfo,
+        peer_expr: impl Fn(&'c NodeKind) -> Option<Option<&'c Expr>>,
+    ) -> Side {
+        let n = attrs.nprocs();
+        // Order the statements by *statement* id — i.e. source order.
+        // CFG depth-first preorder dives through one branch arm into
+        // everything after the join before visiting the sibling arm,
+        // which is not the order in which a process executes
+        // statements; FIFO pairing must follow program order.
+        let mut nodes: Vec<NodeId> = reachable
+            .iter()
+            .copied()
+            .filter(|&id| peer_expr(&cfg.node(id).kind).is_some())
+            .collect();
+        nodes.sort_by_key(|&id| cfg.node(id).stmt.expect("comm nodes carry stmt ids"));
+        let mut reach = vec![RankSet::empty(n); n];
+        let mut evals = 0;
+        let at = nodes
+            .iter()
+            .map(|&id| {
+                let expr = peer_expr(&cfg.node(id).kind).expect("filtered above");
+                let mut row = vec![Peer::Nowhere; n];
+                for rank in attrs.of(id).iter() {
+                    let peer = match expr {
+                        None => Peer::AnyRank,
+                        Some(expr) => {
+                            evals += 1;
+                            match rank_eval(expr, &iddep.rank_env(id, rank, n)) {
+                                RankVal::Known(v) if v >= 0 && (v as usize) < n => {
+                                    Peer::Exactly(v as u8)
+                                }
+                                RankVal::Known(_) => Peer::Nowhere,
+                                RankVal::Unknown | RankVal::Irregular => Peer::AnyRank,
+                            }
+                        }
+                    };
+                    match peer {
+                        Peer::Exactly(v) => reach[rank].insert(usize::from(v)),
+                        Peer::AnyRank => reach[rank] = RankSet::full(n),
+                        Peer::Nowhere => {}
+                    }
+                    row[rank] = peer;
+                }
+                row
+            })
+            .collect();
+        Side {
+            nodes,
+            at,
+            reach,
+            evals,
+        }
+    }
+
+    fn sends(cfg: &Cfg, reachable: &[NodeId], attrs: &NodeAttrs, iddep: &IdDepInfo) -> Side {
+        Side::resolve(cfg, reachable, attrs, iddep, |kind| match kind {
+            NodeKind::Send { dest, .. } => Some(Some(dest)),
+            _ => None,
+        })
+    }
+
+    fn recvs(cfg: &Cfg, reachable: &[NodeId], attrs: &NodeAttrs, iddep: &IdDepInfo) -> Side {
+        Side::resolve(cfg, reachable, attrs, iddep, |kind| match kind {
+            NodeKind::Recv {
+                src: RecvSrc::Rank(e),
+            } => Some(Some(e)),
+            NodeKind::Recv { src: RecvSrc::Any } => Some(None),
+            _ => None,
+        })
+    }
+
+    /// The statements of `rank` that may address `peer`, in program
+    /// order, each with whether it names `peer` exactly.
+    fn channel(&self, rank: usize, peer: usize) -> Vec<(NodeId, bool)> {
+        self.nodes
+            .iter()
+            .zip(&self.at)
+            .filter_map(|(&id, row)| row[rank].admits(peer).map(|exact| (id, exact)))
+            .collect()
     }
 }
 
@@ -144,83 +245,51 @@ pub fn match_send_recv(
     iddep: &IdDepInfo,
     mode: MatchingMode,
 ) -> Matching {
-    if mode == MatchingMode::FifoOrdered {
-        return match_fifo_ordered(cfg, attrs, iddep);
+    // Only nodes reachable from entry take part (DFS, as the algorithm
+    // prescribes).
+    let reachable = dfs(cfg).preorder;
+    let sends = Side::sends(cfg, &reachable, attrs, iddep);
+    let recvs = Side::recvs(cfg, &reachable, attrs, iddep);
+    acfc_obs::count(
+        "core/matching/rank_evals",
+        (sends.evals + recvs.evals) as u64,
+    );
+    match mode {
+        MatchingMode::FifoOrdered => match_fifo_ordered(&sends, &recvs),
+        MatchingMode::Conservative | MatchingMode::PreferUnmatched => {
+            match_all_pairs(cfg, &sends, &recvs, mode)
+        }
     }
-    let n = attrs.nprocs();
-    let params = &iddep.params;
-    // Scan reachable nodes (DFS from entry, as the algorithm
-    // prescribes), but order the send/recv lists by *statement* id —
-    // i.e. source order. CFG depth-first preorder dives through one
-    // branch arm into everything after the join before visiting the
-    // sibling arm, which is not the order in which a process executes
-    // statements; FIFO pairing must follow program order.
-    let order = dfs(cfg).preorder;
-    let by_stmt = |cfg: &Cfg, v: &mut Vec<NodeId>| {
-        v.sort_by_key(|&id| cfg.node(id).stmt.expect("comm nodes carry stmt ids"));
-    };
-    let mut recvs: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Recv { .. }))
-        .collect();
-    by_stmt(cfg, &mut recvs);
-    let mut sends: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Send { .. }))
-        .collect();
-    by_stmt(cfg, &mut sends);
+}
 
+/// Algorithm 3.1 proper: every receive against every send
+/// ([`MatchingMode::Conservative`] / [`MatchingMode::PreferUnmatched`]).
+fn match_all_pairs(cfg: &Cfg, sends: &Side, recvs: &Side, mode: MatchingMode) -> Matching {
     let mut edges = Vec::new();
     let mut witnesses = Vec::new();
     let mut unmatched_recvs = Vec::new();
-    let mut send_matched: HashMap<NodeId, bool> = sends.iter().map(|&s| (s, false)).collect();
+    let mut send_matched: HashMap<NodeId, bool> = sends.nodes.iter().map(|&s| (s, false)).collect();
 
-    for &r in &recvs {
+    for (&r, src_at) in recvs.nodes.iter().zip(&recvs.at) {
         let NodeKind::Recv { src } = &cfg.node(r).kind else {
             unreachable!()
         };
         let recv_irregular = src.is_irregular();
-        let r_env = iddep.env_at(r);
         // Candidate evaluation for every send.
         let mut candidates: Vec<(NodeId, (usize, usize), bool)> = Vec::new();
-        for &s in &sends {
+        for (&s, dest_at) in sends.nodes.iter().zip(&sends.at) {
             let NodeKind::Send { dest, .. } = &cfg.node(s).kind else {
                 unreachable!()
             };
-            let s_env = iddep.env_at(s);
             let send_irregular = is_irregular_side(dest);
-            let mut found: Option<(usize, usize)> = None;
-            'search: for p in attrs.of(s).iter() {
-                for q in attrs.of(r).iter() {
-                    if p == q {
-                        continue;
-                    }
-                    // Destination attribute of the send at rank p.
-                    let dest_ok = match resolve(dest, p, n, params, s_env) {
-                        Resolved::Exactly(v) => v == q,
-                        Resolved::AnyRank => true,
-                        Resolved::OutOfRange => false,
-                    };
-                    if !dest_ok {
-                        continue;
-                    }
-                    // Source attribute of the receive at rank q.
-                    let src_ok = match src {
-                        RecvSrc::Any => true,
-                        RecvSrc::Rank(e) => match resolve(e, q, n, params, r_env) {
-                            Resolved::Exactly(v) => v == p,
-                            Resolved::AnyRank => true,
-                            Resolved::OutOfRange => false,
-                        },
-                    };
-                    if src_ok {
-                        found = Some((p, q));
-                        break 'search;
-                    }
-                }
-            }
+            // First sender rank p and receiver rank q ≠ p such that the
+            // send's destination attribute at p admits q and the
+            // receive's source attribute at q admits p.
+            let found = dest_at.iter().enumerate().find_map(|(p, dest)| {
+                (0..src_at.len())
+                    .find(|&q| p != q && dest.admits(q).is_some() && src_at[q].admits(p).is_some())
+                    .map(|q| (p, q))
+            });
             if let Some(w) = found {
                 candidates.push((s, w, recv_irregular || send_irregular));
             }
@@ -229,30 +298,23 @@ pub fn match_send_recv(
             unmatched_recvs.push(r);
             continue;
         }
-        let chosen: Vec<(NodeId, (usize, usize), bool)> = match mode {
-            MatchingMode::Conservative => candidates,
-            MatchingMode::PreferUnmatched => {
-                if recv_irregular {
-                    // Irregular receives match all candidates (step 3,
-                    // first bullet).
-                    candidates
-                } else {
-                    let unmatched: Vec<_> = candidates
-                        .iter()
-                        .filter(|(s, _, irr)| *irr || !send_matched[s])
-                        .cloned()
-                        .collect();
-                    if unmatched.is_empty() {
-                        // Fall back to everything so Lemma 3.1 holds.
-                        candidates
-                    } else {
-                        unmatched
-                    }
-                }
+        let chosen = if mode == MatchingMode::PreferUnmatched && !recv_irregular {
+            // A regular receive prefers sends no earlier receive took;
+            // irregular receives match all candidates (step 3, first
+            // bullet).
+            let unmatched: Vec<_> = candidates
+                .iter()
+                .filter(|(s, _, irr)| *irr || !send_matched[s])
+                .cloned()
+                .collect();
+            if unmatched.is_empty() {
+                // Fall back to everything so Lemma 3.1 holds.
+                candidates
+            } else {
+                unmatched
             }
-            MatchingMode::FifoOrdered => {
-                unreachable!("handled by match_fifo_ordered")
-            }
+        } else {
+            candidates
         };
         for (s, witness, irregular) in chosen {
             send_matched.insert(s, true);
@@ -272,41 +334,17 @@ pub fn match_send_recv(
 }
 
 /// Per-channel FIFO sequence matching (see [`MatchingMode::FifoOrdered`]).
-fn match_fifo_ordered(cfg: &Cfg, attrs: &NodeAttrs, iddep: &IdDepInfo) -> Matching {
-    let n = attrs.nprocs();
-    let params = &iddep.params;
-    let order = dfs(cfg).preorder;
-    let mut sends: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Send { .. }))
-        .collect();
-    let mut recvs: Vec<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|&id| matches!(cfg.node(id).kind, NodeKind::Recv { .. }))
-        .collect();
-    // Program (source) order, not CFG DFS order: a process executes
-    // statements in source order along its path.
-    sends.sort_by_key(|&id| cfg.node(id).stmt.expect("send nodes carry stmt ids"));
-    recvs.sort_by_key(|&id| cfg.node(id).stmt.expect("recv nodes carry stmt ids"));
-
+fn match_fifo_ordered(sends: &Side, recvs: &Side) -> Matching {
+    let n = sends.reach.len();
     let mut edges: Vec<MessageEdge> = Vec::new();
     let mut witnesses: Vec<MatchWitness> = Vec::new();
-    let mut seen: std::collections::HashSet<(NodeId, NodeId)> = std::collections::HashSet::new();
-    let push = |edges: &mut Vec<MessageEdge>,
-                witnesses: &mut Vec<MatchWitness>,
-                seen: &mut std::collections::HashSet<(NodeId, NodeId)>,
-                s: NodeId,
-                r: NodeId,
-                p: usize,
-                q: usize,
-                irregular: bool| {
+    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::new();
+    let mut push = |s: NodeId, r: NodeId, witness: (usize, usize), irregular: bool| {
         if seen.insert((s, r)) {
             edges.push(MessageEdge { send: s, recv: r });
             witnesses.push(MatchWitness {
                 edge: MessageEdge { send: s, recv: r },
-                witness: (p, q),
+                witness,
                 irregular,
             });
         }
@@ -314,74 +352,36 @@ fn match_fifo_ordered(cfg: &Cfg, attrs: &NodeAttrs, iddep: &IdDepInfo) -> Matchi
 
     for p in 0..n {
         for q in 0..n {
-            if p == q {
+            // Most channels carry nothing: skip them without listing.
+            if p == q || !sends.reach[p].contains(q) || !recvs.reach[q].contains(p) {
                 continue;
             }
-            // The channel's send statements at sender rank p, with
-            // whether each resolves exactly to q.
-            let mut chan_sends: Vec<(NodeId, bool)> = Vec::new();
-            for &s in &sends {
-                if !attrs.of(s).contains(p) {
-                    continue;
-                }
-                let NodeKind::Send { dest, .. } = &cfg.node(s).kind else {
-                    unreachable!()
-                };
-                match resolve(dest, p, n, params, iddep.env_at(s)) {
-                    Resolved::Exactly(v) if v == q => chan_sends.push((s, true)),
-                    Resolved::AnyRank => chan_sends.push((s, false)),
-                    _ => {}
-                }
-            }
-            let mut chan_recvs: Vec<(NodeId, bool)> = Vec::new();
-            for &r in &recvs {
-                if !attrs.of(r).contains(q) {
-                    continue;
-                }
-                let NodeKind::Recv { src } = &cfg.node(r).kind else {
-                    unreachable!()
-                };
-                match src {
-                    RecvSrc::Any => chan_recvs.push((r, false)),
-                    RecvSrc::Rank(e) => match resolve(e, q, n, params, iddep.env_at(r)) {
-                        Resolved::Exactly(v) if v == p => chan_recvs.push((r, true)),
-                        Resolved::AnyRank => chan_recvs.push((r, false)),
-                        _ => {}
-                    },
-                }
-            }
-            if chan_sends.is_empty() || chan_recvs.is_empty() {
-                continue;
-            }
+            // The channel's send statements at sender rank p and its
+            // receive statements at receiver rank q, with whether each
+            // resolves exactly to the other end.
+            let chan_sends = sends.channel(p, q);
+            let chan_recvs = recvs.channel(q, p);
             let all_exact =
                 chan_sends.iter().all(|&(_, e)| e) && chan_recvs.iter().all(|&(_, e)| e);
             if all_exact && chan_sends.len() == chan_recvs.len() {
                 // FIFO positional pairing.
                 for (&(s, _), &(r, _)) in chan_sends.iter().zip(&chan_recvs) {
-                    push(&mut edges, &mut witnesses, &mut seen, s, r, p, q, false);
+                    push(s, r, (p, q), false);
                 }
             } else {
                 // Irregular membership or count mismatch: all pairs
                 // (Lemma 3.1 fallback).
                 for &(s, se) in &chan_sends {
                     for &(r, re) in &chan_recvs {
-                        push(
-                            &mut edges,
-                            &mut witnesses,
-                            &mut seen,
-                            s,
-                            r,
-                            p,
-                            q,
-                            !(se && re),
-                        );
+                        push(s, r, (p, q), !(se && re));
                     }
                 }
             }
         }
     }
-    let matched: std::collections::HashSet<NodeId> = edges.iter().map(|e| e.recv).collect();
+    let matched: HashSet<NodeId> = edges.iter().map(|e| e.recv).collect();
     let unmatched_recvs = recvs
+        .nodes
         .iter()
         .copied()
         .filter(|r| !matched.contains(r))

@@ -16,20 +16,25 @@
 //!
 //! The relocation is performed on the **program AST** (insert a
 //! checkpoint statement just before the statement of `b`, remove the old
-//! one) and the whole analysis is rebuilt; this keeps the program, the
-//! CFG, and the extended CFG in sync, at the cost of re-running the
-//! cheap static phases each iteration. If an insertion fails to remove
+//! one) and the graph side is rebuilt: the CFG, the checkpoint index and
+//! the closures of `Ĝ`. This keeps the program, the CFG, and the
+//! extended CFG in sync. Phase II (ID-dependence, attributes, matching)
+//! runs **once** per analysis — a relocation cannot change it, so
+//! [`ReanalysisCache`] replays the matching onto each rebuilt CFG
+//! (unless [`Phase3Config::incremental`] is switched off) — and
+//! each round asks Condition 1 for the violating pairs only, without
+//! the witness paths `acfc check` prints. If an insertion fails to remove
 //! the violation (the path re-enters through a non-dominator
 //! predecessor), the insertion point escalates one dominator earlier;
 //! iteration is capped and residual violations are reported as an error
 //! rather than silently accepted.
 
-use crate::condition::{check_condition1, LoopPolicy, Violation};
-use crate::cuts::index_checkpoints;
+use crate::condition::{violating_pairs, LoopPolicy, Violation};
+use crate::cuts::{index_checkpoints, CheckpointIndex};
 use crate::extended::ExtendedCfg;
 use crate::matching::{Matching, MatchingMode};
 use crate::reanalysis::ReanalysisCache;
-use acfc_cfg::{build_cfg_prelowered, dominators, Cfg, NodeId, NodeKind};
+use acfc_cfg::{build_cfg_prelowered, Cfg, NodeId, NodeKind};
 use acfc_mpsl::{Block, Program, Stmt, StmtId, StmtKind};
 use std::fmt;
 
@@ -128,6 +133,17 @@ pub fn ensure_recovery_lines(
     program: &Program,
     config: &Phase3Config,
 ) -> Result<Phase3Result, Phase3Error> {
+    repair(program, config, violating_pairs)
+}
+
+/// Algorithm 3.2 over the Condition 1 checker `check` (the tests run it
+/// over the witness-carrying one to show the moves do not depend on
+/// which is asked).
+fn repair(
+    program: &Program,
+    config: &Phase3Config,
+    check: impl Fn(&ExtendedCfg, &CheckpointIndex, LoopPolicy) -> Vec<Violation>,
+) -> Result<Phase3Result, Phase3Error> {
     let mut current = program.clone();
     if current.has_collectives() {
         current.lower_collectives();
@@ -145,7 +161,7 @@ pub fn ensure_recovery_lines(
         let matching = phase2_matching(&cfg, &current, config, &mut cache);
         let index = index_checkpoints(&cfg, &current);
         let extended = ExtendedCfg::build(cfg, &matching);
-        let violations = check_condition1(&extended, &index, config.policy);
+        let violations = check(&extended, &index, config.policy);
         let Some(v) = pick_violation(&violations) else {
             return Ok(Phase3Result {
                 program: current,
@@ -174,7 +190,7 @@ pub fn ensure_recovery_lines(
     let matching = phase2_matching(&cfg, &current, config, &mut cache);
     let index = index_checkpoints(&cfg, &current);
     let extended = ExtendedCfg::build(cfg, &matching);
-    let violations = check_condition1(&extended, &index, config.policy);
+    let violations = check(&extended, &index, config.policy);
     if violations.is_empty() {
         return Ok(Phase3Result {
             program: current,
@@ -230,8 +246,7 @@ fn apply_move(
     v: &Violation,
     config: &Phase3Config,
 ) -> Result<MoveRecord, Phase3Error> {
-    let dom = dominators(&g.cfg);
-    let chain = dom.chain(v.to);
+    let chain = g.dom.chain(v.to);
     if chain.is_empty() {
         return Err(Phase3Error::EditFailed(format!(
             "checkpoint node {} unreachable",
@@ -562,6 +577,61 @@ mod tests {
                 ensure_recovery_lines(&p, &config).unwrap_or_else(|e| panic!("{}: {e}", p.name));
             verify_condition1(&r, 4, LoopPolicy::Optimized);
         }
+    }
+
+    /// Algorithm 3.2 reads a violation's endpoints, never its witness
+    /// path: driven by the path-searching checker it makes the same
+    /// moves, in the same order, with the same node ids in their
+    /// descriptions.
+    #[test]
+    fn moves_are_the_same_with_and_without_witness_paths() {
+        let ladder = "if rank % 2 == 0 { checkpoint; send to rank + 1; recv from rank + 1; }
+             else { recv from rank - 1; checkpoint; send to rank - 1; }\n"
+            .repeat(6);
+        let mut corpus = programs::all_stock();
+        corpus.push(parse(&format!("program ladder;\n{ladder}")).unwrap());
+        let mut moved = 0;
+        for p in &corpus {
+            for (n, policy) in [
+                (2, LoopPolicy::Optimized),
+                (4, LoopPolicy::Optimized),
+                (8, LoopPolicy::Optimized),
+                (4, LoopPolicy::Strict),
+            ] {
+                let config = Phase3Config {
+                    nprocs: n,
+                    policy,
+                    ..Phase3Config::default()
+                };
+                let lean = ensure_recovery_lines(p, &config);
+                let full = repair(p, &config, crate::condition::check_condition1);
+                match (lean, full) {
+                    (Ok(lean), Ok(full)) => {
+                        let key =
+                            |m: &MoveRecord| (m.index, m.label.clone(), m.description.clone());
+                        assert_eq!(
+                            lean.moves.iter().map(key).collect::<Vec<_>>(),
+                            full.moves.iter().map(key).collect::<Vec<_>>(),
+                            "{} n={n} {policy:?}",
+                            p.name
+                        );
+                        assert_eq!(lean.program, full.program, "{} n={n}", p.name);
+                        moved += lean.moves.len();
+                    }
+                    (Err(lean), Err(full)) => assert_eq!(lean.to_string(), full.to_string()),
+                    (lean, full) => panic!(
+                        "{} n={n} {policy:?}: {:?} without paths, {:?} with",
+                        p.name,
+                        lean.map(|r| r.moves),
+                        full.map(|r| r.moves)
+                    ),
+                }
+            }
+        }
+        assert!(
+            moved > 20,
+            "the corpus exercises relocation ({moved} moves)"
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! rolls back to the straight cut of the latest common checkpoint
 //! index.
 
+use crate::attr::MAX_ANALYSIS_RANKS;
 use crate::condition::LoopPolicy;
 use crate::cuts::{index_checkpoints, CheckpointIndex};
 use crate::extended::ExtendedCfg;
@@ -142,6 +143,14 @@ pub enum AnalysisError {
     Invalid(Vec<acfc_mpsl::ValidateError>),
     /// Phase III could not ensure Condition 1.
     Phase3(Phase3Error),
+    /// The analysis was asked for more processes than its rank sets
+    /// hold.
+    TooManyProcesses {
+        /// The `nprocs` asked for.
+        nprocs: usize,
+        /// The largest `nprocs` supported ([`MAX_ANALYSIS_RANKS`]).
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for AnalysisError {
@@ -158,6 +167,10 @@ impl std::fmt::Display for AnalysisError {
                 Ok(())
             }
             AnalysisError::Phase3(e) => write!(f, "{e}"),
+            AnalysisError::TooManyProcesses { nprocs, limit } => write!(
+                f,
+                "nprocs = {nprocs} is beyond the analysis limit of {limit} processes"
+            ),
         }
     }
 }
@@ -170,13 +183,31 @@ impl From<Phase3Error> for AnalysisError {
     }
 }
 
+/// Checks that the analysis can be instantiated at `nprocs` processes.
+/// [`analyze`] starts with this; a caller that drives the phases itself
+/// (`acfc check`) asks before it builds a rank set, which would panic.
+///
+/// # Errors
+///
+/// [`AnalysisError::TooManyProcesses`] above [`MAX_ANALYSIS_RANKS`].
+pub fn check_nprocs(nprocs: usize) -> Result<(), AnalysisError> {
+    if nprocs > MAX_ANALYSIS_RANKS {
+        return Err(AnalysisError::TooManyProcesses {
+            nprocs,
+            limit: MAX_ANALYSIS_RANKS,
+        });
+    }
+    Ok(())
+}
+
 /// Runs the full three-phase analysis.
 ///
 /// # Errors
 ///
-/// [`AnalysisError::Invalid`] if the program fails validation;
-/// [`AnalysisError::Phase3`] if Algorithm 3.2 cannot establish
-/// Condition 1 within the iteration cap.
+/// [`AnalysisError::TooManyProcesses`] if `config.nprocs` is above
+/// [`MAX_ANALYSIS_RANKS`]; [`AnalysisError::Invalid`] if the program
+/// fails validation; [`AnalysisError::Phase3`] if Algorithm 3.2 cannot
+/// establish Condition 1 within the iteration cap.
 ///
 /// # Examples
 ///
@@ -192,6 +223,7 @@ impl From<Phase3Error> for AnalysisError {
 /// ```
 pub fn analyze(program: &Program, config: &AnalysisConfig) -> Result<Analysis, AnalysisError> {
     let _pipeline = acfc_obs::span("core/analyze");
+    check_nprocs(config.nprocs)?;
     let errors = acfc_mpsl::validate(program);
     if !errors.is_empty() {
         return Err(AnalysisError::Invalid(errors));
@@ -276,6 +308,22 @@ mod tests {
         let err = analyze(&p, &AnalysisConfig::default()).unwrap_err();
         assert!(matches!(err, AnalysisError::Invalid(_)));
         assert!(err.to_string().contains("undeclared"));
+    }
+
+    #[test]
+    fn too_many_processes_is_an_error_not_a_panic() {
+        let p = programs::jacobi(3);
+        assert!(analyze(&p, &AnalysisConfig::for_nprocs(MAX_ANALYSIS_RANKS)).is_ok());
+        let err = analyze(&p, &AnalysisConfig::for_nprocs(MAX_ANALYSIS_RANKS + 1)).unwrap_err();
+        assert!(matches!(
+            err,
+            AnalysisError::TooManyProcesses {
+                nprocs: 129,
+                limit: 128
+            }
+        ));
+        let msg = err.to_string();
+        assert!(msg.contains("nprocs = 129") && msg.contains("128"), "{msg}");
     }
 
     #[test]

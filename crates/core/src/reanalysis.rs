@@ -21,7 +21,7 @@
 //! from scratch.
 
 use crate::matching::{match_send_recv, Matching, MatchingMode, MessageEdge};
-use crate::{analyze_iddep, compute_attrs};
+use crate::{analyze_iddep_at, compute_attrs};
 use acfc_cfg::{Cfg, NodeId};
 use acfc_mpsl::Program;
 
@@ -49,7 +49,9 @@ impl ReanalysisCache {
         nprocs: usize,
         mode: MatchingMode,
     ) -> (ReanalysisCache, Matching) {
-        let iddep = analyze_iddep(cfg, lowered);
+        // Branches are classified at the analysis `n`, not at a fixed
+        // sample: `rank % 16 < 8` is uniform over 8 ranks and not over 64.
+        let iddep = analyze_iddep_at(cfg, lowered, nprocs.max(2));
         let attrs = compute_attrs(cfg, nprocs, &iddep);
         let matching = match_send_recv(cfg, &attrs, &iddep, mode);
         let cache = ReanalysisCache::from_matching(cfg, &matching);
@@ -113,12 +115,12 @@ impl ReanalysisCache {
     }
 }
 
-/// NodeId → position within a creation-ordered node list.
+/// NodeId → position within a creation-ordered (hence id-sorted) node
+/// list.
 fn ordinal_map(nodes: &[NodeId]) -> impl Fn(NodeId) -> usize + '_ {
     move |id| {
         nodes
-            .iter()
-            .position(|&n| n == id)
+            .binary_search(&id)
             .expect("matching references a node absent from its own CFG")
     }
 }
@@ -126,6 +128,7 @@ fn ordinal_map(nodes: &[NodeId]) -> impl Fn(NodeId) -> usize + '_ {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze_iddep;
     use acfc_cfg::{build_cfg, build_cfg_prelowered};
     use acfc_mpsl::{parse, programs, Stmt, StmtKind};
 

@@ -179,6 +179,85 @@ impl RankVal {
     }
 }
 
+/// Id of a closed expression in a [`RankExprs`] pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RankExprId(u32);
+
+/// One pool entry: an [`Expr`] node other than `Var`, children by id.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Closed {
+    Int(i64),
+    Rank,
+    NProcs,
+    Param(String),
+    Input(u32),
+    Unary(UnOp, RankExprId),
+    Binary(BinOp, RankExprId, RankExprId),
+}
+
+/// A hash-consed pool of *closed* expressions: over `rank`, `nprocs`,
+/// parameters, integers and `input(·)`, no variables.
+///
+/// Structurally equal expressions get the same id, so comparing two
+/// bindings is an id comparison, and rebinding `acc := acc + 1` adds one
+/// node that points at the previous binding instead of copying it: a
+/// chain of `k` such assignments costs `O(k)` nodes, not `O(k²)`.
+#[derive(Debug, Clone, Default)]
+pub struct RankExprs {
+    nodes: Vec<Closed>,
+    ids: HashMap<Closed, RankExprId>,
+}
+
+impl RankExprs {
+    /// Interns `expr` with every variable replaced by its binding in
+    /// `vars`; `None` if it mentions a variable `vars` does not bind.
+    pub fn close(&mut self, expr: &Expr, vars: &HashMap<String, RankExprId>) -> Option<RankExprId> {
+        let node = match expr {
+            Expr::Var(v) => return vars.get(v).copied(),
+            Expr::Int(v) => Closed::Int(*v),
+            Expr::Rank => Closed::Rank,
+            Expr::NProcs => Closed::NProcs,
+            Expr::Param(p) => Closed::Param(p.clone()),
+            Expr::Input(k) => Closed::Input(*k),
+            Expr::Unary(op, e) => Closed::Unary(*op, self.close(e, vars)?),
+            Expr::Binary(op, a, b) => {
+                Closed::Binary(*op, self.close(a, vars)?, self.close(b, vars)?)
+            }
+        };
+        if let Some(&id) = self.ids.get(&node) {
+            return Some(id);
+        }
+        let id = RankExprId(u32::try_from(self.nodes.len()).expect("expression pool overflow"));
+        self.nodes.push(node.clone());
+        self.ids.insert(node, id);
+        Some(id)
+    }
+
+    /// Number of distinct expression nodes interned so far.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// `true` if nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// The expression behind `id` as a plain tree (shared subterms are
+    /// copied out, so this is for diagnostics, not for the analysis).
+    pub fn to_expr(&self, id: RankExprId) -> Expr {
+        match &self.nodes[id.0 as usize] {
+            Closed::Int(v) => Expr::Int(*v),
+            Closed::Rank => Expr::Rank,
+            Closed::NProcs => Expr::NProcs,
+            Closed::Param(p) => Expr::Param(p.clone()),
+            Closed::Input(k) => Expr::Input(*k),
+            Closed::Unary(op, e) => Expr::Unary(*op, Box::new(self.to_expr(*e))),
+            Closed::Binary(op, a, b) => Expr::bin(*op, self.to_expr(*a), self.to_expr(*b)),
+        }
+    }
+}
+
 /// A rank-abstract environment: the analysis knows `rank`, `nprocs`, and
 /// the program parameters; selected variables may be bound to *rank
 /// expressions* (from the ID-dependence constant propagation).
@@ -190,8 +269,10 @@ pub struct RankEnv<'a> {
     pub nprocs: i64,
     /// Parameter bindings.
     pub params: &'a HashMap<String, i64>,
-    /// Variables resolved to expressions over `rank`/`nprocs`/params.
-    pub var_exprs: &'a HashMap<String, Expr>,
+    /// Variables resolved to closed expressions in `exprs`.
+    pub vars: &'a HashMap<String, RankExprId>,
+    /// The pool `vars` points into.
+    pub exprs: &'a RankExprs,
 }
 
 /// Evaluates `expr` knowing only the rank, `nprocs`, parameters, and any
@@ -203,7 +284,29 @@ pub fn rank_eval(expr: &Expr, env: &RankEnv<'_>) -> RankVal {
     rank_eval_depth(expr, env, 0)
 }
 
+/// Evaluation gives up ([`RankVal::Unknown`]) below this nesting depth,
+/// counted through the expression and on into a variable's binding. It
+/// bounds the recursion; a branch on a variable built by a longer chain
+/// of assignments is therefore unresolved, not rank-determined.
 const MAX_SUBST_DEPTH: u32 = 64;
+
+fn apply_un(op: UnOp, v: RankVal) -> RankVal {
+    match (op, v) {
+        (UnOp::Neg, RankVal::Known(v)) => v
+            .checked_neg()
+            .map(RankVal::Known)
+            .unwrap_or(RankVal::Unknown),
+        (UnOp::Not, RankVal::Known(v)) => RankVal::Known(i64::from(v == 0)),
+        (_, other) => other,
+    }
+}
+
+fn param(p: &str, env: &RankEnv<'_>) -> RankVal {
+    match env.params.get(p) {
+        Some(v) => RankVal::Known(*v),
+        None => RankVal::Unknown,
+    }
+}
 
 fn rank_eval_depth(expr: &Expr, env: &RankEnv<'_>, depth: u32) -> RankVal {
     if depth > MAX_SUBST_DEPTH {
@@ -213,29 +316,37 @@ fn rank_eval_depth(expr: &Expr, env: &RankEnv<'_>, depth: u32) -> RankVal {
         Expr::Int(v) => RankVal::Known(*v),
         Expr::Rank => RankVal::Known(env.rank),
         Expr::NProcs => RankVal::Known(env.nprocs),
-        Expr::Param(p) => match env.params.get(p) {
-            Some(v) => RankVal::Known(*v),
-            None => RankVal::Unknown,
-        },
-        Expr::Var(v) => match env.var_exprs.get(v) {
-            Some(e) => rank_eval_depth(e, env, depth + 1),
+        Expr::Param(p) => param(p, env),
+        Expr::Var(v) => match env.vars.get(v) {
+            Some(&id) => closed_eval_depth(id, env, depth + 1),
             None => RankVal::Unknown,
         },
         Expr::Input(_) => RankVal::Irregular,
-        Expr::Unary(op, e) => match rank_eval_depth(e, env, depth + 1) {
-            RankVal::Known(v) => match op {
-                UnOp::Neg => v
-                    .checked_neg()
-                    .map(RankVal::Known)
-                    .unwrap_or(RankVal::Unknown),
-                UnOp::Not => RankVal::Known(i64::from(v == 0)),
-            },
-            other => other,
-        },
+        Expr::Unary(op, e) => apply_un(*op, rank_eval_depth(e, env, depth + 1)),
         Expr::Binary(op, a, b) => RankVal::join_op(
             *op,
             rank_eval_depth(a, env, depth + 1),
             rank_eval_depth(b, env, depth + 1),
+        ),
+    }
+}
+
+/// [`rank_eval_depth`] over a pool entry.
+fn closed_eval_depth(id: RankExprId, env: &RankEnv<'_>, depth: u32) -> RankVal {
+    if depth > MAX_SUBST_DEPTH {
+        return RankVal::Unknown;
+    }
+    match &env.exprs.nodes[id.0 as usize] {
+        Closed::Int(v) => RankVal::Known(*v),
+        Closed::Rank => RankVal::Known(env.rank),
+        Closed::NProcs => RankVal::Known(env.nprocs),
+        Closed::Param(p) => param(p, env),
+        Closed::Input(_) => RankVal::Irregular,
+        Closed::Unary(op, e) => apply_un(*op, closed_eval_depth(*e, env, depth + 1)),
+        Closed::Binary(op, a, b) => RankVal::join_op(
+            *op,
+            closed_eval_depth(*a, env, depth + 1),
+            closed_eval_depth(*b, env, depth + 1),
         ),
     }
 }
@@ -306,66 +417,91 @@ mod tests {
         assert_eq!(eval(&e, &env), Err(EvalError::Overflow));
     }
 
-    #[test]
-    fn rank_eval_known_and_unknown() {
+    /// A rank environment over `bindings`, closed in order (a binding
+    /// may mention the ones before it).
+    fn with_bindings(
+        bindings: &[(&str, E)],
+        rank: i64,
+        nprocs: i64,
+        check: impl FnOnce(&RankEnv<'_>),
+    ) {
         let params = HashMap::new();
-        let vars = HashMap::new();
-        let env = RankEnv {
-            rank: 3,
-            nprocs: 8,
+        let mut exprs = RankExprs::default();
+        let mut vars = HashMap::new();
+        for (name, e) in bindings {
+            let id = exprs.close(e, &vars).expect("binding is closed");
+            vars.insert(name.to_string(), id);
+        }
+        check(&RankEnv {
+            rank,
+            nprocs,
             params: &params,
-            var_exprs: &vars,
-        };
-        let e = E::bin(
-            BinOp::Mod,
-            E::bin(BinOp::Add, E::Rank, E::Int(1)),
-            E::NProcs,
-        );
-        assert_eq!(rank_eval(&e, &env), RankVal::Known(4));
-        assert_eq!(rank_eval(&E::Var("x".into()), &env), RankVal::Unknown);
-        assert_eq!(rank_eval(&E::Input(0), &env), RankVal::Irregular);
+            vars: &vars,
+            exprs: &exprs,
+        });
     }
 
     #[test]
-    fn rank_eval_resolves_var_exprs() {
-        let params = HashMap::new();
-        let mut vars = HashMap::new();
-        vars.insert("left".to_string(), E::bin(BinOp::Sub, E::Rank, E::Int(1)));
-        let env = RankEnv {
-            rank: 5,
-            nprocs: 8,
-            params: &params,
-            var_exprs: &vars,
-        };
-        assert_eq!(rank_eval(&E::Var("left".into()), &env), RankVal::Known(4));
+    fn rank_eval_known_and_unknown() {
+        with_bindings(&[], 3, 8, |env| {
+            let e = E::bin(
+                BinOp::Mod,
+                E::bin(BinOp::Add, E::Rank, E::Int(1)),
+                E::NProcs,
+            );
+            assert_eq!(rank_eval(&e, env), RankVal::Known(4));
+            assert_eq!(rank_eval(&E::Var("x".into()), env), RankVal::Unknown);
+            assert_eq!(rank_eval(&E::Input(0), env), RankVal::Irregular);
+        });
+    }
+
+    #[test]
+    fn rank_eval_resolves_bound_vars() {
+        let left = E::bin(BinOp::Sub, E::Rank, E::Int(1));
+        with_bindings(&[("left", left)], 5, 8, |env| {
+            assert_eq!(rank_eval(&E::Var("left".into()), env), RankVal::Known(4));
+        });
     }
 
     #[test]
     fn irregular_dominates_unknown() {
-        let params = HashMap::new();
-        let vars = HashMap::new();
-        let env = RankEnv {
-            rank: 0,
-            nprocs: 2,
-            params: &params,
-            var_exprs: &vars,
-        };
-        let e = E::bin(BinOp::Add, E::Var("x".into()), E::Input(0));
-        assert_eq!(rank_eval(&e, &env), RankVal::Irregular);
+        with_bindings(&[], 0, 2, |env| {
+            let e = E::bin(BinOp::Add, E::Var("x".into()), E::Input(0));
+            assert_eq!(rank_eval(&e, env), RankVal::Irregular);
+        });
     }
 
     #[test]
-    fn rank_eval_cycle_terminates() {
-        let params = HashMap::new();
+    fn pool_shares_equal_terms_and_refuses_open_ones() {
+        let mut exprs = RankExprs::default();
         let mut vars = HashMap::new();
-        vars.insert("a".to_string(), E::Var("b".into()));
-        vars.insert("b".to_string(), E::Var("a".into()));
-        let env = RankEnv {
-            rank: 0,
-            nprocs: 2,
-            params: &params,
-            var_exprs: &vars,
-        };
-        assert_eq!(rank_eval(&E::Var("a".into()), &env), RankVal::Unknown);
+        let one_more = E::bin(BinOp::Add, E::Var("x".into()), E::Int(1));
+        assert_eq!(exprs.close(&one_more, &vars), None, "x is unbound");
+        let x = exprs.close(&E::Rank, &vars).unwrap();
+        vars.insert("x".to_string(), x);
+        let a = exprs.close(&one_more, &vars).unwrap();
+        let before = exprs.len();
+        let b = exprs
+            .close(&E::bin(BinOp::Add, E::Rank, E::Int(1)), &vars)
+            .unwrap();
+        assert_eq!(a, b, "structurally equal terms intern to one id");
+        assert_eq!(exprs.len(), before, "and add no node");
+        assert_eq!(exprs.to_expr(a), E::bin(BinOp::Add, E::Rank, E::Int(1)));
+    }
+
+    /// The evaluator's answer on a long chain of rebindings, as it was
+    /// when bindings were substituted trees: 63 nested additions below
+    /// a variable still evaluate, 64 do not.
+    #[test]
+    fn rank_eval_gives_up_past_the_depth_limit() {
+        for (links, want) in [(63, RankVal::Known(5 + 63)), (64, RankVal::Unknown)] {
+            let step = E::bin(BinOp::Add, E::Var("x".into()), E::Int(1));
+            let mut bindings = vec![("x", E::Rank)];
+            bindings.extend((0..links).map(|_| ("x", step.clone())));
+            with_bindings(&bindings, 5, 8, |env| {
+                assert_eq!(rank_eval(&E::Var("x".into()), env), want, "{links} links");
+                assert_eq!(env.exprs.len(), 2 + links, "one node per link");
+            });
+        }
     }
 }

@@ -52,7 +52,7 @@ pub mod programs;
 pub mod validate;
 
 pub use ast::{BinOp, Block, Expr, Program, RecvSrc, Stmt, StmtId, StmtKind, UnOp};
-pub use expr::{eval, rank_eval, Env, EvalError, RankEnv, RankVal};
+pub use expr::{eval, rank_eval, Env, EvalError, RankEnv, RankExprId, RankExprs, RankVal};
 pub use lexer::{lex, LexError};
 pub use lowered::{eval_ops, lower_expr, Op, SlotEnv, SlotResolver};
 pub use parser::{parse, ParseError};

@@ -261,6 +261,7 @@ fn load(args: &Args) -> Result<acfc::mpsl::Program, String> {
 
 fn cmd_check(args: &Args) -> Result<(), String> {
     let program = load(args)?;
+    acfc::core::check_nprocs(args.nprocs).map_err(|e| e.to_string())?;
     let (cfg, lowered) = build_cfg(&program);
     let iddep = analyze_iddep(&cfg, &lowered);
     let attrs = compute_attrs(&cfg, args.nprocs, &iddep);

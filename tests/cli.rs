@@ -447,6 +447,29 @@ fn missing_file_reports_cleanly() {
 }
 
 #[test]
+fn nprocs_beyond_the_analysis_limit_is_an_error_not_a_panic() {
+    for args in [
+        &["check", "programs/jacobi.mpsl", "--nprocs", "129"][..],
+        &["analyze", "programs/jacobi.mpsl", "--nprocs", "129"],
+        &[
+            "run",
+            "programs/jacobi.mpsl",
+            "--analyze",
+            "--nprocs",
+            "129",
+        ],
+    ] {
+        let out = acfc(args);
+        // Exit 1 with a message, not the 101 of a panic.
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("error: nprocs = 129"), "{args:?}: {err}");
+        assert!(err.contains("128"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn trace_flag_prints_spacetime() {
     let out = acfc(&["run", "programs/jacobi.mpsl", "--nprocs", "2", "--trace"]);
     assert!(out.status.success());
