@@ -18,12 +18,7 @@
 //! `BENCH_sim.json` tracks the discrete-event engine: events per second
 //! (executed simulator instructions / wall-clock) on the canonical
 //! workloads from `benches/simulator.rs` — clean runs plus the
-//! failure/rollback path — for today's lowered-bytecode engine and for
-//! [`acfc_bench::sim_baseline`] (the pre-lowering engine: tree-walking
-//! expression evaluation over string-keyed maps, per-step instruction
-//! clones), plus the implied speedups. Both engines produce
-//! byte-identical golden traces, so the event counts are the same and
-//! the ratio is a pure interpretation-cost comparison.
+//! failure/rollback path.
 //!
 //! Run via `cargo bench-json` (alias in `.cargo/config.toml`); the
 //! files are written to the current directory.
@@ -31,7 +26,6 @@
 //! [`ReanalysisCache`]: acfc_core::ReanalysisCache
 
 use acfc_bench::seed_baseline::seed_ensure_recovery_lines;
-use acfc_bench::sim_baseline;
 use acfc_core::{analyze, ensure_recovery_lines, AnalysisConfig, Phase3Config};
 use acfc_mpsl::programs;
 use acfc_perfmodel::{simulate_interval_threads, IntervalParams};
@@ -97,80 +91,43 @@ fn phase3_stats(incremental: bool) -> (f64, f64) {
     (moves as f64 / secs_per_pass, secs_per_pass)
 }
 
-/// Benchmarks one simulator workload on both engines and returns
-/// `(events_per_run, baseline_events_per_sec, lowered_events_per_sec)`.
+/// Benchmarks one simulator workload and returns
+/// `(events_per_run, events_per_sec)`: the best of 12 short batches.
 fn sim_workload(
-    name: &str,
     program: &acfc_mpsl::Program,
     nprocs: usize,
     failures: &[(SimTime, usize)],
-) -> (u64, f64, f64) {
+) -> (u64, f64) {
     let compiled = compile(program);
     let cfg = SimConfig::new(nprocs);
     let plan = FailurePlan::at(failures.to_vec());
-    let run_lowered = || {
-        if failures.is_empty() {
-            acfc_sim::run(&compiled, &cfg)
-        } else {
-            let mut hooks = NoHooks;
-            acfc_sim::run_with_failures(
-                &compiled,
-                &cfg,
-                &mut hooks,
-                plan.clone(),
-                CutPicker::AlignedSeq,
-            )
-        }
+    let run = || {
+        let mut hooks = NoHooks;
+        acfc_sim::run_with_failures(
+            &compiled,
+            &cfg,
+            &mut hooks,
+            plan.clone(),
+            CutPicker::AlignedSeq,
+        )
     };
-    let run_baseline = || {
-        if failures.is_empty() {
-            sim_baseline::run(&compiled, &cfg)
-        } else {
-            let mut hooks = NoHooks;
-            sim_baseline::run_with_failures(
-                &compiled,
-                &cfg,
-                &mut hooks,
-                plan.clone(),
-                CutPicker::AlignedSeq,
-            )
-        }
-    };
-    let events = run_lowered().metrics.instructions;
-    assert_eq!(
-        events,
-        run_baseline().metrics.instructions,
-        "engines diverged on {name}"
-    );
-    // Interleaved min-of-batches: the two engines alternate in short
-    // batches and each keeps its best batch, so slow drift on a shared
-    // box (frequency scaling, noisy neighbours) cancels out of the
-    // ratio instead of landing on whichever engine ran second.
+    let events = run().metrics.instructions;
     let batch = (200_000 / events).clamp(2, 500) as usize;
-    let mut best_lowered = f64::INFINITY;
-    let mut best_baseline = f64::INFINITY;
+    let mut best = f64::INFINITY;
     for _ in 0..12 {
         let t = std::time::Instant::now();
         for _ in 0..batch {
-            black_box(run_lowered());
+            black_box(run());
         }
-        best_lowered = best_lowered.min(t.elapsed().as_nanos() as f64 / batch as f64);
-        let t = std::time::Instant::now();
-        for _ in 0..batch {
-            black_box(run_baseline());
-        }
-        best_baseline = best_baseline.min(t.elapsed().as_nanos() as f64 / batch as f64);
+        best = best.min(t.elapsed().as_nanos() as f64 / batch as f64);
     }
-    let per_sec = |ns_per_run: f64| events as f64 / (ns_per_run / 1e9);
-    (events, per_sec(best_baseline), per_sec(best_lowered))
+    (events, events as f64 / (best / 1e9))
 }
 
-/// Events/sec of the lowered engine alone on one large-`n` workload:
+/// Events/sec on one large-`n` workload:
 /// one warm run to learn the event count, then the best of `reps` timed
-/// runs. Single timed runs rather than interleaved batches — at these
-/// sizes a run is tens to hundreds of milliseconds, far above timer
-/// quantization, and there is no second engine in the ratio to drift
-/// against.
+/// runs. Single timed runs rather than batches — at these sizes a run
+/// is tens to hundreds of milliseconds, far above timer quantization.
 fn large_n_events_per_sec(program: &acfc_mpsl::Program, nprocs: usize, reps: usize) -> (u64, f64) {
     let compiled = compile(program);
     let cfg = SimConfig::new(nprocs);
@@ -266,8 +223,8 @@ fn obs_folded_overhead_pct(program: &acfc_mpsl::Program, nprocs: usize, samples:
     (0..3).map(|_| median_pct()).fold(f64::INFINITY, f64::min)
 }
 
-/// Emits `BENCH_sim.json`: events/sec for the lowered engine vs the
-/// pre-lowering baseline on the `benches/simulator.rs` workloads.
+/// Emits `BENCH_sim.json`: engine events/sec on the
+/// `benches/simulator.rs` workloads.
 fn emit_bench_sim() {
     type Workload<'a> = (&'a str, acfc_mpsl::Program, usize, &'a [(SimTime, usize)]);
     let fail_plan = [
@@ -287,12 +244,10 @@ fn emit_bench_sim() {
     ];
     let mut json = Json::new().str("bench", "sim");
     for (name, program, n, failures) in &workloads {
-        let (events, base, lowered) = sim_workload(name, program, *n, failures);
+        let (events, eps) = sim_workload(program, *n, failures);
         json = json
             .num(&format!("{name}_events"), events as f64)
-            .num(&format!("{name}_baseline_events_per_sec"), base)
-            .num(&format!("{name}_events_per_sec"), lowered)
-            .num(&format!("{name}_speedup"), lowered / base);
+            .num(&format!("{name}_events_per_sec"), eps);
     }
     // Histogram-native percentile bounds from one observed jacobi_n8
     // run (deterministic: fixed seed, no failures) — the trajectory
@@ -345,7 +300,7 @@ fn emit_bench_sim() {
         .num("sweep_trials", summary.trials as f64)
         .num("sweep_cells_per_sec", summary.cells_per_sec())
         .num("sweep_overhead_ratio_mean_ci95", mean_ci_width);
-    // Large-n scaling keys, lowered engine only. `jacobi`/`stencil_1d`
+    // Large-n scaling keys. `jacobi`/`stencil_1d`
     // are communication-bound at these sizes — nearly every executed
     // instruction is a send/recv/checkpoint that crosses the event
     // queue — while `jacobi_cells` adds the per-cell relaxation
@@ -360,31 +315,12 @@ fn emit_bench_sim() {
         ("stencil_n2048", programs::stencil_1d(20), 2048),
         ("jacobi_cells_n1024", programs::jacobi_cells(20, 1024), 1024),
     ];
-    let mut jacobi_n1024 = (0u64, 0f64);
     for (name, program, n) in &large {
         let (events, eps) = large_n_events_per_sec(program, *n, 3);
-        if *name == "jacobi_n1024" {
-            jacobi_n1024 = (events, eps);
-        }
         json = json
             .num(&format!("{name}_events"), events as f64)
             .num(&format!("{name}_events_per_sec"), eps);
     }
-    // Speedup over the pre-lowering baseline at n = 1024 on jacobi(20).
-    // One baseline run only: the old engine's always-dense clocks and
-    // O(n) inbox scans put it at whole seconds here — exactly the cost
-    // this PR's delta piggybacks and lazy per-channel inboxes remove —
-    // so there is no need for min-of-batches on that side.
-    let compiled = compile(&programs::jacobi(20));
-    let t = std::time::Instant::now();
-    let base_trace = sim_baseline::run(&compiled, &SimConfig::new(1024));
-    let base_secs = t.elapsed().as_secs_f64();
-    assert_eq!(
-        base_trace.metrics.instructions, jacobi_n1024.0,
-        "engines diverged on jacobi at n=1024"
-    );
-    let base_eps = base_trace.metrics.instructions as f64 / base_secs;
-    json = json.num("large_n_speedup", jacobi_n1024.1 / base_eps);
     let overhead = obs_overhead_pct(&programs::jacobi(200), 8, 400);
     assert!(
         overhead < 2.0,

@@ -13,7 +13,6 @@ use acfc_protocols::{compare_all, CompareConfig, RunStats};
 use acfc_sim::FailurePlan;
 
 pub mod seed_baseline;
-pub mod sim_baseline;
 
 /// The canonical workloads used across binaries and benches.
 pub fn workloads() -> Vec<Program> {

@@ -11,7 +11,7 @@
 use acfc_mpsl::Program;
 use acfc_protocols::{
     max_consistent_picker, uncoordinated_hooks, uncoordinated_picker, AppDriven, ChandyLamport,
-    CicProtocol, ProtocolKind, SyncAndStop,
+    CicProtocol, ConfigError, ProtocolKind, SyncAndStop,
 };
 use acfc_sim::{compile, Compiled, CutPicker, Hooks, NetworkModel, NoHooks, TimerCheckpoints};
 
@@ -97,8 +97,10 @@ pub struct PreparedRun {
 ///
 /// # Errors
 ///
-/// Returns the analysis error message when the application-driven
-/// offline analysis rejects the program.
+/// Returns the [`ConfigError`] message for zero processes, or for a zero
+/// checkpoint interval under a protocol that checkpoints on timers, and
+/// the analysis error message when the application-driven offline
+/// analysis rejects the program.
 pub fn coordinator_for(
     kind: ProtocolKind,
     program: &Program,
@@ -107,6 +109,12 @@ pub fn coordinator_for(
     skew_us: u64,
     net: NetworkModel,
 ) -> Result<PreparedRun, String> {
+    if nprocs == 0 {
+        return Err(ConfigError::ZeroProcs.to_string());
+    }
+    if interval_us == 0 && kind != ProtocolKind::AppDriven {
+        return Err(ConfigError::ZeroInterval.to_string());
+    }
     let (compiled, coordinator): (Compiled, Box<dyn CheckpointCoordinator>) = match kind {
         ProtocolKind::AppDriven => {
             let ad = AppDriven::prepare(program, nprocs).map_err(|e| e.to_string())?;

@@ -1,9 +1,10 @@
 //! Free-running scheduler: one OS thread per worker over real `mpsc`
 //! channels.
 //!
-//! Each worker executes its lowered instruction stream on its own
-//! thread, advancing a *virtual* cost-model clock (the same cost
-//! constants as the simulator) that drives protocol timers and the
+//! Each worker steps its lowered instruction stream on its own thread
+//! through the simulator's interpreter ([`Stepper`]), advancing a
+//! *virtual* cost-model clock (the same cost charges as the engine's)
+//! that drives protocol timers and the
 //! [`FailureInjector`]'s kill schedule. Receives block on the worker's
 //! real channel; sends go through real `Sender` handles. Interleaving
 //! is whatever the OS scheduler produces — the point of this mode is
@@ -24,13 +25,16 @@
 
 use crate::coordinator::CheckpointCoordinator;
 use crate::report::{trigger_name, RunEvent, RunReport};
-use acfc_mpsl::lowered::{eval_ops, Op, SlotEnv};
-use acfc_mpsl::{EvalError, StmtId};
+use acfc_mpsl::StmtId;
 use acfc_sim::backend::{SlotNames, SlotSnapshot, SlotState, StateBackend, StateSnapshot};
-use acfc_sim::bytecode::{Compiled, ExprRef, LowInstr, LowSrc, NO_LABEL};
+use acfc_sim::bytecode::Compiled;
 use acfc_sim::failure::RecoveryView;
+use acfc_sim::step::{Step, Stepper};
 use acfc_sim::trace::{CheckpointRecord, CkptTrigger, MessageRecord, MsgId, Outcome};
-use acfc_sim::{CoordinationCost, CutPicker, FailurePlan, SimConfig, SimTime, VectorClock};
+use acfc_sim::{
+    CoordinationCost, CutPicker, FailurePlan, RecvAction, SimConfig, SimTime, VectorClock,
+    FORCED_RUNAWAY, MAX_FORCED_PER_RECV,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -155,7 +159,6 @@ struct SentMsg {
 struct Shared<'a> {
     compiled: &'a Compiled,
     config: &'a SimConfig,
-    params: Vec<Option<i64>>,
     /// The variable slot table in name order.
     names: SlotNames,
     coord: Mutex<&'a mut dyn CheckpointCoordinator>,
@@ -209,7 +212,8 @@ struct Worker<'s, 'a> {
     kill_at: Option<u64>,
     /// Buffered arrivals per source rank.
     pending: Vec<VecDeque<Packet>>,
-    eval_stack: Vec<i64>,
+    /// This worker's interpreter.
+    stepper: Stepper<'a>,
     /// The reusable portable snapshot this worker commits.
     port: SlotSnapshot,
     fc: FreeConfig,
@@ -222,51 +226,6 @@ enum Exit {
 }
 
 impl Worker<'_, '_> {
-    fn eval_ref(&mut self, r: ExprRef) -> Result<i64, EvalError> {
-        let compiled = self.shared.compiled;
-        match r.ops(&compiled.ops) {
-            [Op::Const(v)] => return Ok(*v),
-            [Op::Load(s)] => {
-                let s = *s as usize;
-                return if self.st.bound[s] {
-                    Ok(self.st.vars[s])
-                } else {
-                    Err(EvalError::UnboundVar(compiled.var_names[s].clone()))
-                };
-            }
-            _ => {}
-        }
-        let env = SlotEnv {
-            rank: self.rank as i64,
-            nprocs: self.shared.config.nprocs as i64,
-            vars: &self.st.vars,
-            bound: &self.st.bound,
-            var_names: &compiled.var_names,
-            params: &self.shared.params,
-            param_names: &compiled.param_names,
-            inputs: &self.shared.config.inputs,
-        };
-        eval_ops(r.ops(&compiled.ops), &env, &mut self.eval_stack)
-    }
-
-    fn resolve_rank(&mut self, expr: ExprRef) -> Option<usize> {
-        match self.eval_ref(expr) {
-            Ok(v) if v >= 0 && (v as usize) < self.shared.config.nprocs => Some(v as usize),
-            Ok(v) => {
-                self.shared.raise(Outcome::RuntimeError(
-                    self.rank,
-                    format!("rank expression evaluated to {v}, out of range"),
-                ));
-                None
-            }
-            Err(e) => {
-                self.shared
-                    .raise(Outcome::RuntimeError(self.rank, e.to_string()));
-                None
-            }
-        }
-    }
-
     /// Fires this round's kill if the virtual clock has reached it.
     fn check_kill(&mut self) -> bool {
         if let Some(at) = self.kill_at {
@@ -429,7 +388,9 @@ impl Worker<'_, '_> {
         }
     }
 
-    fn consume(&mut self, p: Packet) {
+    /// Completes a receive of `p`; `false` when the coordinator's
+    /// forced checkpoints never satisfied it (the run is then over).
+    fn consume(&mut self, p: Packet) -> bool {
         let rank = self.rank;
         if !self.shared.passive {
             let mut guard = 0u32;
@@ -440,15 +401,16 @@ impl Worker<'_, '_> {
                     self.st.ckpt_seq,
                     SimTime::from_micros(self.st.now),
                 );
-                if act != acfc_sim::RecvAction::ForceCheckpointFirst {
+                if act != RecvAction::ForceCheckpointFirst {
                     break;
                 }
                 self.take_checkpoint(None, None, CkptTrigger::Forced);
                 guard += 1;
-                assert!(
-                    guard < 100_000,
-                    "coordinator demanded forced checkpoints without converging"
-                );
+                if guard >= MAX_FORCED_PER_RECV {
+                    self.shared
+                        .raise(Outcome::RuntimeError(rank, FORCED_RUNAWAY.into()));
+                    return false;
+                }
             }
         }
         let n = self.shared.config.nprocs;
@@ -467,10 +429,10 @@ impl Worker<'_, '_> {
         let arrive = p.sent_at + self.shared.config.net.base_delay_us(p.bits);
         self.st.now = self.st.now.max(arrive) + self.shared.config.cost.instr_overhead_us;
         self.shared.log.lock().unwrap()[p.idx].recv_step = Some(self.st.step);
+        true
     }
 
     fn run(mut self) -> (WorkerState, Exit) {
-        let compiled = self.shared.compiled;
         let max_steps = self.shared.config.max_steps_per_proc;
         let instr_us = self.shared.config.cost.instr_overhead_us;
         loop {
@@ -495,105 +457,28 @@ impl Worker<'_, '_> {
                     continue;
                 }
             }
-            let pc = self.st.pc;
-            let instr = compiled.lowered[pc];
             self.st.executed += 1;
-            match instr {
-                LowInstr::Compute { cost } => {
-                    let c = match self.eval_ref(cost) {
-                        Ok(v) if v >= 0 => v as u64,
-                        Ok(v) => {
-                            self.shared.raise(Outcome::RuntimeError(
-                                self.rank,
-                                format!("negative compute cost {v}"),
-                            ));
-                            return (self.st, Exit::Wound);
-                        }
-                        Err(e) => {
-                            self.shared
-                                .raise(Outcome::RuntimeError(self.rank, e.to_string()));
-                            return (self.st, Exit::Wound);
-                        }
-                    };
-                    self.st.now += c * self.shared.config.cost.compute_unit_us + instr_us;
-                    self.st.pc = pc + 1;
-                }
-                LowInstr::Assign { var, value } => {
-                    match self.eval_ref(value) {
-                        Ok(v) => {
-                            self.st.vars[var as usize] = v;
-                            self.st.bound[var as usize] = true;
-                        }
-                        Err(e) => {
-                            self.shared
-                                .raise(Outcome::RuntimeError(self.rank, e.to_string()));
-                            return (self.st, Exit::Wound);
-                        }
-                    }
-                    self.st.now += instr_us;
-                    self.st.pc = pc + 1;
-                }
-                LowInstr::Jump { target } => {
-                    self.st.now += instr_us;
-                    self.st.pc = target as usize;
-                }
-                LowInstr::JumpIfFalse { cond, target } => {
-                    let v = match self.eval_ref(cond) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            self.shared
-                                .raise(Outcome::RuntimeError(self.rank, e.to_string()));
-                            return (self.st, Exit::Wound);
-                        }
-                    };
-                    self.st.now += instr_us;
-                    self.st.pc = if v == 0 { target as usize } else { pc + 1 };
-                }
-                LowInstr::Send {
-                    dest,
-                    size_bits,
-                    stmt,
-                } => {
-                    let Some(to) = self.resolve_rank(dest) else {
-                        return (self.st, Exit::Wound);
-                    };
-                    let bits = match self.eval_ref(size_bits) {
-                        Ok(v) if v >= 0 => v as u64,
-                        Ok(v) => {
-                            self.shared.raise(Outcome::RuntimeError(
-                                self.rank,
-                                format!("negative message size {v}"),
-                            ));
-                            return (self.st, Exit::Wound);
-                        }
-                        Err(e) => {
-                            self.shared
-                                .raise(Outcome::RuntimeError(self.rank, e.to_string()));
-                            return (self.st, Exit::Wound);
-                        }
-                    };
-                    self.do_send(to, bits, stmt);
-                    self.st.pc = pc + 1;
-                }
-                LowInstr::Recv { src, stmt } => {
-                    let want: Option<usize> = match src {
-                        LowSrc::Any => None,
-                        LowSrc::Rank(e) => {
-                            let Some(s) = self.resolve_rank(e) else {
-                                return (self.st, Exit::Wound);
-                            };
-                            Some(s)
-                        }
-                    };
+            let step = self.stepper.step(
+                self.rank,
+                &mut self.st.pc,
+                &mut self.st.vars,
+                &mut self.st.bound,
+            );
+            match step {
+                Step::Local { cost_us }
+                | Step::Bound { cost_us }
+                | Step::Compute { cost_us, .. } => self.st.now += cost_us,
+                Step::Send { to, bits, stmt } => self.do_send(to, bits, stmt),
+                Step::Recv { want, .. } => {
                     let Some(packet) = self.wait_for(want) else {
                         return (self.st, Exit::Wound);
                     };
-                    let _ = stmt;
-                    self.consume(packet);
-                    self.st.pc = pc + 1;
+                    if !self.consume(packet) {
+                        return (self.st, Exit::Wound);
+                    }
+                    self.st.pc += 1;
                 }
-                LowInstr::Checkpoint { stmt, label } => {
-                    self.st.pc = pc + 1;
+                Step::Checkpoint { stmt, label } => {
                     let take = self.shared.passive
                         || self
                             .shared
@@ -602,19 +487,23 @@ impl Worker<'_, '_> {
                             .unwrap()
                             .take_app_checkpoint(self.rank, SimTime::from_micros(self.st.now));
                     if take {
-                        let label = (label != NO_LABEL).then(|| &*compiled.labels[label as usize]);
+                        let label = label.map(|l| &**l);
                         self.take_checkpoint(Some(stmt), label, CkptTrigger::AppStatement);
                     } else {
                         self.st.now += instr_us;
                     }
                 }
-                LowInstr::Halt => {
+                Step::Halt => {
                     self.st.halted = true;
                     self.shared.event(RunEvent::Halt {
                         proc: self.rank,
                         vtime_us: self.st.now,
                     });
                     return (self.st, Exit::Halted);
+                }
+                Step::Error(e) => {
+                    self.shared.raise(Outcome::RuntimeError(self.rank, e));
+                    return (self.st, Exit::Wound);
                 }
             }
         }
@@ -665,7 +554,6 @@ pub fn run_free(
     let shared = Shared {
         compiled,
         config,
-        params: compiled.bind_params(&config.param_overrides),
         names: SlotNames::new(compiled.var_names.clone()),
         coord: Mutex::new(coordinator),
         backend: Mutex::new(backend),
@@ -720,7 +608,7 @@ pub fn run_free(
                         .map(|&(at, _)| at)
                         .min(),
                     pending: (0..n).map(|_| VecDeque::new()).collect(),
-                    eval_stack: Vec::new(),
+                    stepper: Stepper::new(compiled, config),
                     port: SlotSnapshot::new(shared.names.clone(), rank, n),
                     fc: fc.clone(),
                 };

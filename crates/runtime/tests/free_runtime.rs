@@ -10,11 +10,15 @@
 
 use acfc_protocols::ProtocolKind;
 use acfc_runtime::{
-    backend_for, coordinator_for, run_det, run_free, FailureInjector, FreeConfig, InMemoryBackend,
-    RunEvent, RunReport,
+    backend_for, coordinator_for, run_det, run_free, CheckpointCoordinator, FailureInjector,
+    FreeConfig, InMemoryBackend, RunEvent, RunReport,
 };
 use acfc_sim::backend::{StateBackend, StateSnapshot};
-use acfc_sim::{FailurePlan, NetworkModel, Outcome, SimConfig};
+use acfc_sim::bytecode::{LowInstr, LowSrc};
+use acfc_sim::{
+    compile, Compiled, CutPicker, FailurePlan, Hooks, NetworkModel, NoHooks, Outcome, RecvAction,
+    SimConfig, SimTime, Trace, FORCED_RUNAWAY,
+};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -214,17 +218,12 @@ fn free_mode_durable_backend_survives_reopen_after_kill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn free_mode_commits_the_payloads_the_simulator_records() {
-    // A variable binds between two checkpoints, and a kill rolls the
-    // binding back: every payload a worker thread commits is still the
-    // encoding of the simulator's record of that checkpoint.
-    let program = acfc_mpsl::parse(LATE_BINDING).expect("parses");
-    let compiled = acfc_sim::compile(&program);
-    let cfg = SimConfig::new(NPROCS);
-    let sim = acfc_sim::run(&compiled, &cfg);
-    assert!(sim.completed());
-    let expected: BTreeMap<(usize, u64), Vec<u8>> = sim
+/// The simulator's run of `compiled` and the encoding of every
+/// checkpoint it records, by `(proc, seq)`.
+fn sim_payloads(compiled: &Compiled, cfg: &SimConfig) -> (Trace, BTreeMap<(usize, u64), Vec<u8>>) {
+    let sim = acfc_sim::run(compiled, cfg);
+    assert!(sim.completed(), "{}: {:?}", compiled.name, sim.outcome);
+    let payloads = sim
         .checkpoints
         .iter()
         .map(|rec| {
@@ -234,6 +233,76 @@ fn free_mode_commits_the_payloads_the_simulator_records() {
             )
         })
         .collect();
+    (sim, payloads)
+}
+
+/// What free mode commits for `compiled` under the application-driven
+/// coordinator and `injector`'s kills.
+fn free_payloads(
+    compiled: &Compiled,
+    cfg: &SimConfig,
+    injector: &FailureInjector,
+) -> BTreeMap<(usize, u64), Vec<u8>> {
+    let mut log = PayloadLog::default();
+    let report = run_free(
+        compiled,
+        cfg,
+        &mut NoHooks,
+        &mut log,
+        injector,
+        &FreeConfig::default(),
+    );
+    assert_eq!(report.outcome, Outcome::Completed, "{}", compiled.name);
+    let (kills, ..) = count_events(&report);
+    assert_eq!(
+        kills,
+        usize::from(!injector.is_empty()),
+        "{}",
+        compiled.name
+    );
+    log.0
+}
+
+#[test]
+fn free_mode_commits_the_payloads_the_simulator_records() {
+    // Each payload pins pc, step, vector clock, values, binding row and
+    // statement instances at one checkpoint, so equal payloads make this
+    // an instruction-level differential between the stepper's two
+    // schedulers. Free mode resolves `recv from any` by the lowest buffered
+    // sender and the engine by the earliest delivery, so only programs
+    // whose receives name their source have one answer.
+    let cfg = SimConfig::new(NPROCS).with_inputs(vec![3, 7]);
+    let mut skipped = Vec::new();
+    for program in acfc_mpsl::programs::all_stock() {
+        let compiled = compile(&program);
+        let any_source = compiled.lowered.iter().any(|i| {
+            matches!(
+                i,
+                LowInstr::Recv {
+                    src: LowSrc::Any,
+                    ..
+                }
+            )
+        });
+        if any_source {
+            skipped.push(program.name);
+            continue;
+        }
+        let (_, expected) = sim_payloads(&compiled, &cfg);
+        let committed = free_payloads(&compiled, &cfg, &FailureInjector::none());
+        assert_eq!(committed, expected, "{}", program.name);
+    }
+    assert_eq!(
+        skipped,
+        ["master_worker", "rotation_shuffle", "bcast_reduce"]
+    );
+
+    // A variable binds between two checkpoints, and a kill rolls the
+    // binding back: every payload a worker thread commits is still the
+    // encoding of the simulator's record of that checkpoint.
+    let compiled = compile(&acfc_mpsl::parse(LATE_BINDING).expect("parses"));
+    let cfg = SimConfig::new(NPROCS);
+    let (sim, expected) = sim_payloads(&compiled, &cfg);
     let binds_at = sim
         .checkpoints
         .iter()
@@ -245,27 +314,112 @@ fn free_mode_commits_the_payloads_the_simulator_records() {
         FailureInjector::none(),
         FailureInjector::at(vec![(binds_at, 1)]),
     ] {
-        let mut prep = coordinator_for(
-            ProtocolKind::AppDriven,
-            &acfc_mpsl::programs::jacobi(1),
-            NPROCS,
-            INTERVAL_US,
-            SKEW_US,
-            NetworkModel::default(),
-        )
-        .expect("coordinator builds");
-        let mut log = PayloadLog::default();
-        let report = run_free(
+        let committed = free_payloads(&compiled, &cfg, &injector);
+        assert_eq!(committed, expected, "kills: {}", !injector.is_empty());
+    }
+}
+
+#[test]
+fn every_scheduler_reports_stepper_errors_the_same_way() {
+    // Rank 1 fails; rank 0 halts without communicating.
+    let error = |msg: &str| Outcome::RuntimeError(1, msg.to_string());
+    let cases = [
+        ("compute 3 - 5;", error("negative compute cost -2")),
+        ("send to 0 size 0 - 8;", error("negative message size -8")),
+        (
+            "send to nprocs;",
+            error("rank expression evaluated to 2, out of range"),
+        ),
+        (
+            "recv from 0 - 1;",
+            error("rank expression evaluated to -1, out of range"),
+        ),
+        ("late := missing + 1;", error("unbound variable `missing`")),
+        ("while 1 { }", Outcome::StepLimit(1)),
+    ];
+    for (body, expected) in cases {
+        let src = format!("program t; if rank == 1 {{ {body} }}");
+        let compiled = compile(&acfc_mpsl::parse(&src).expect("parses"));
+        let mut cfg = SimConfig::new(2);
+        cfg.max_steps_per_proc = 1_000;
+        let sim = acfc_sim::run(&compiled, &cfg).outcome;
+        let det = run_det(
             &compiled,
             &cfg,
-            prep.coordinator.as_mut(),
-            &mut log,
-            &injector,
+            &mut NoHooks,
+            &mut InMemoryBackend::new(),
+            FailurePlan::none(),
+        )
+        .trace
+        .outcome;
+        let free = run_free(
+            &compiled,
+            &cfg,
+            &mut NoHooks,
+            &mut InMemoryBackend::new(),
+            &FailureInjector::none(),
             &FreeConfig::default(),
-        );
-        assert_eq!(report.outcome, Outcome::Completed);
-        let (kills, ..) = count_events(&report);
-        assert_eq!(kills, usize::from(!injector.is_empty()));
-        assert_eq!(log.0, expected, "{kills} kill(s)");
+        )
+        .outcome;
+        assert_eq!(sim, expected, "{body}: simulator");
+        assert_eq!(det, expected, "{body}: run_det");
+        assert_eq!(free, expected, "{body}: run_free");
     }
+}
+
+/// A protocol that demands a forced checkpoint before every delivery,
+/// however many it has already been given.
+struct AlwaysForce;
+
+impl Hooks for AlwaysForce {
+    fn on_recv(&mut self, _p: usize, _piggyback: u64, _own: u64, _now: SimTime) -> RecvAction {
+        RecvAction::ForceCheckpointFirst
+    }
+
+    fn uses_timers(&mut self) -> bool {
+        false
+    }
+}
+
+impl CheckpointCoordinator for AlwaysForce {
+    fn name(&self) -> &'static str {
+        "always-force"
+    }
+
+    fn picker(&self) -> CutPicker {
+        CutPicker::AlignedSeq
+    }
+}
+
+#[test]
+fn runaway_forced_checkpoints_end_the_run_with_a_runtime_error() {
+    let src = "program t; if rank == 0 { send to 1; } else { recv from 0; }";
+    let compiled = compile(&acfc_mpsl::parse(src).expect("parses"));
+    let cfg = SimConfig::new(2);
+    let expected = Outcome::RuntimeError(1, FORCED_RUNAWAY.to_string());
+    let sim = acfc_sim::run_with_failures(
+        &compiled,
+        &cfg,
+        &mut AlwaysForce,
+        FailurePlan::none(),
+        CutPicker::AlignedSeq,
+    );
+    assert_eq!(sim.outcome, expected, "simulator");
+    let det = run_det(
+        &compiled,
+        &cfg,
+        &mut AlwaysForce,
+        &mut InMemoryBackend::new(),
+        FailurePlan::none(),
+    );
+    assert_eq!(det.trace.outcome, expected, "run_det");
+    let free = run_free(
+        &compiled,
+        &cfg,
+        &mut AlwaysForce,
+        &mut InMemoryBackend::new(),
+        &FailureInjector::none(),
+        &FreeConfig::default(),
+    );
+    assert_eq!(free.outcome, expected, "run_free");
 }

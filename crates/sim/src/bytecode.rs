@@ -5,85 +5,20 @@
 //! single program counter plus a variable store — which is exactly what a
 //! checkpoint snapshot needs to capture.
 //!
-//! Compilation produces two parallel representations of the same code:
-//!
-//! * [`Instr`] — the AST-carrying form, kept as the analysis-facing
-//!   surface (expressions are inspectable trees, names are strings);
-//! * [`LowInstr`] — the **lowered** form the engine executes: `Copy`
-//!   instructions whose expressions are [`ExprRef`] ranges into one
-//!   shared constant-folded postfix [`Op`] pool, and whose variable and
-//!   parameter names are interned into dense slot indices
-//!   ([`Compiled::var_names`] / [`Compiled::param_names`]).
-//!
-//! The two arrays are index-for-index identical (`lowered[pc]` lowers
-//! `code[pc]`), so program counters — including the `pc` captured in
-//! checkpoint snapshots — mean the same thing in both.
+//! There is one instruction form, [`LowInstr`]: `Copy` instructions whose
+//! expressions are [`ExprRef`] ranges into one shared constant-folded
+//! postfix [`Op`] pool, and whose variable and parameter names are
+//! interned into dense slot indices ([`Compiled::var_names`] /
+//! [`Compiled::param_names`]). Each instruction is lowered as it is
+//! emitted, in program-counter order, so slot numbers, pool offsets and
+//! label indices follow first appearance in the code. A program counter —
+//! including the `pc` captured in checkpoint snapshots — is an index
+//! into [`Compiled::lowered`]; [`crate::step`] interprets it.
 
 use acfc_mpsl::lowered::{lower_expr, Op, SlotResolver};
 use acfc_mpsl::{BinOp, Block, Expr, Program, RecvSrc, StmtId, StmtKind};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// One executable instruction.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Instr {
-    /// Local computation costing `cost` (expression value, in
-    /// milliseconds of simulated time).
-    Compute {
-        /// Cost expression.
-        cost: Expr,
-        /// Originating statement.
-        stmt: StmtId,
-    },
-    /// Variable assignment.
-    Assign {
-        /// Target variable.
-        var: String,
-        /// Right-hand side.
-        value: Expr,
-        /// Originating statement.
-        stmt: StmtId,
-    },
-    /// Send a message.
-    Send {
-        /// Destination rank expression.
-        dest: Expr,
-        /// Size in bits.
-        size_bits: Expr,
-        /// Originating statement.
-        stmt: StmtId,
-    },
-    /// Blocking receive.
-    Recv {
-        /// Source spec.
-        src: RecvSrc,
-        /// Originating statement.
-        stmt: StmtId,
-    },
-    /// Take a checkpoint.
-    Checkpoint {
-        /// Originating statement (the paper's static checkpoint node id).
-        stmt: StmtId,
-        /// Optional label.
-        label: Option<String>,
-    },
-    /// Unconditional jump.
-    Jump {
-        /// Target pc.
-        target: usize,
-    },
-    /// Jump when the condition evaluates to zero.
-    JumpIfFalse {
-        /// Condition.
-        cond: Expr,
-        /// Target pc when false.
-        target: usize,
-        /// Originating statement.
-        stmt: StmtId,
-    },
-    /// Normal termination.
-    Halt,
-}
 
 /// A range of a [`Compiled::ops`] pool holding one lowered expression
 /// in postfix order.
@@ -115,12 +50,12 @@ pub enum LowSrc {
     Rank(ExprRef),
 }
 
-/// One lowered instruction: the `Copy` mirror of [`Instr`] the engine
-/// steps without cloning. Statement ids are kept only where the engine
+/// One instruction. Statement ids are kept only where a scheduler
 /// records them (sends, receives, checkpoints).
 #[derive(Debug, Clone, Copy)]
 pub enum LowInstr {
-    /// Local computation costing `cost` expression value.
+    /// Local computation costing `cost` expression value (in compute
+    /// units of simulated time).
     Compute {
         /// Cost expression.
         cost: ExprRef,
@@ -150,7 +85,7 @@ pub enum LowInstr {
     },
     /// Take a checkpoint.
     Checkpoint {
-        /// Originating statement.
+        /// Originating statement (the paper's static checkpoint node id).
         stmt: StmtId,
         /// Index into [`Compiled::labels`], or [`NO_LABEL`].
         label: u32,
@@ -177,13 +112,11 @@ pub enum LowInstr {
 pub struct Compiled {
     /// Program name.
     pub name: String,
-    /// Flat code; `Halt` terminated.
-    pub code: Vec<Instr>,
     /// Default parameter bindings from the program header.
     pub params: Vec<(String, i64)>,
     /// Declared variables (all initialised to 0).
     pub vars: Vec<String>,
-    /// Lowered code, index-for-index parallel to [`Compiled::code`].
+    /// Flat code; `Halt` terminated.
     pub lowered: Vec<LowInstr>,
     /// The shared postfix op pool [`ExprRef`]s point into.
     pub ops: Vec<Op>,
@@ -206,12 +139,18 @@ pub struct Compiled {
 impl Compiled {
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.code.len()
+        self.lowered.len()
     }
 
     /// `true` when the program is just `Halt`.
     pub fn is_empty(&self) -> bool {
-        self.code.len() <= 1
+        self.lowered.len() <= 1
+    }
+
+    /// The label a [`LowInstr::Checkpoint`] carries, if any.
+    #[inline]
+    pub fn label(&self, label: u32) -> Option<&Arc<str>> {
+        (label != NO_LABEL).then(|| &self.labels[label as usize])
     }
 
     /// Parameter values by slot ([`Compiled::param_names`] order): the
@@ -233,9 +172,10 @@ impl Compiled {
 /// # Examples
 ///
 /// ```
+/// use acfc_sim::bytecode::LowInstr;
 /// let p = acfc_mpsl::parse("program t; var i; for i in 0..2 { checkpoint; }").unwrap();
 /// let c = acfc_sim::compile(&p);
-/// assert!(c.code.iter().any(|i| matches!(i, acfc_sim::Instr::Checkpoint { .. })));
+/// assert!(c.lowered.iter().any(|i| matches!(i, LowInstr::Checkpoint { .. })));
 /// ```
 pub fn compile(program: &Program) -> Compiled {
     let _span = acfc_obs::span("sim/lower");
@@ -243,31 +183,28 @@ pub fn compile(program: &Program) -> Compiled {
     if source.has_collectives() {
         source.lower_collectives();
     }
-    let mut code = Vec::new();
-    emit_block(&mut code, &source.body);
-    code.push(Instr::Halt);
-    let mut interner = Interner::new(
-        source.vars.iter().cloned(),
-        source.params.iter().map(|(name, _)| name.clone()),
-    );
-    let mut ops = Vec::new();
-    let mut labels = Vec::new();
-    let mut stmt_limit = 0u32;
-    let lowered = code
-        .iter()
-        .map(|instr| lower_instr(instr, &mut interner, &mut ops, &mut labels, &mut stmt_limit))
-        .collect();
+    let mut lowering = Lowering {
+        code: Vec::new(),
+        interner: Interner::new(
+            source.vars.iter().cloned(),
+            source.params.iter().map(|(name, _)| name.clone()),
+        ),
+        ops: Vec::new(),
+        labels: Vec::new(),
+        stmt_limit: 0,
+    };
+    lowering.block(&source.body);
+    lowering.code.push(LowInstr::Halt);
     Compiled {
         name: source.name.clone(),
-        code,
         params: source.params.clone(),
         vars: source.vars.clone(),
-        lowered,
-        ops,
-        var_names: interner.var_names.into(),
-        param_names: interner.param_names,
-        labels,
-        stmt_limit,
+        lowered: lowering.code,
+        ops: lowering.ops,
+        var_names: lowering.interner.var_names.into(),
+        param_names: lowering.interner.param_names,
+        labels: lowering.labels,
+        stmt_limit: lowering.stmt_limit,
     }
 }
 
@@ -324,192 +261,149 @@ impl SlotResolver for Interner {
     }
 }
 
-fn lower_instr(
-    instr: &Instr,
-    interner: &mut Interner,
-    ops: &mut Vec<Op>,
-    labels: &mut Vec<Arc<str>>,
-    stmt_limit: &mut u32,
-) -> LowInstr {
-    let mut expr = |e: &Expr| -> ExprRef {
-        let start = ops.len() as u32;
-        lower_expr(e, interner, ops);
+/// Code generation state: instructions are appended in pc order and
+/// lowered as they are appended, so the interner, the op pool and the
+/// label table fill in program order.
+struct Lowering {
+    code: Vec<LowInstr>,
+    interner: Interner,
+    ops: Vec<Op>,
+    labels: Vec<Arc<str>>,
+    stmt_limit: u32,
+}
+
+impl Lowering {
+    fn expr(&mut self, e: &Expr) -> ExprRef {
+        let start = self.ops.len() as u32;
+        lower_expr(e, &mut self.interner, &mut self.ops);
         ExprRef {
             start,
-            len: ops.len() as u32 - start,
+            len: self.ops.len() as u32 - start,
         }
-    };
-    let mut note_stmt = |sid: StmtId| *stmt_limit = (*stmt_limit).max(sid.0 + 1);
-    match instr {
-        Instr::Compute { cost, stmt } => {
-            note_stmt(*stmt);
-            LowInstr::Compute { cost: expr(cost) }
-        }
-        Instr::Assign { var, value, stmt } => {
-            note_stmt(*stmt);
-            let value = expr(value);
-            LowInstr::Assign {
-                var: interner.var_slot(var),
-                value,
-            }
-        }
-        Instr::Send {
-            dest,
-            size_bits,
-            stmt,
-        } => {
-            note_stmt(*stmt);
-            LowInstr::Send {
-                dest: expr(dest),
-                size_bits: expr(size_bits),
-                stmt: *stmt,
-            }
-        }
-        Instr::Recv { src, stmt } => {
-            note_stmt(*stmt);
-            LowInstr::Recv {
-                src: match src {
-                    RecvSrc::Any => LowSrc::Any,
-                    RecvSrc::Rank(e) => LowSrc::Rank(expr(e)),
-                },
-                stmt: *stmt,
-            }
-        }
-        Instr::Checkpoint { stmt, label } => {
-            note_stmt(*stmt);
-            let label = match label {
-                Some(text) => {
-                    labels.push(text.as_str().into());
-                    (labels.len() - 1) as u32
-                }
-                None => NO_LABEL,
-            };
-            LowInstr::Checkpoint { stmt: *stmt, label }
-        }
-        Instr::Jump { target } => LowInstr::Jump {
-            target: *target as u32,
-        },
-        Instr::JumpIfFalse { cond, target, stmt } => {
-            note_stmt(*stmt);
+    }
+
+    /// Appends an instruction originating from statement `sid`; returns
+    /// its pc.
+    fn emit(&mut self, sid: StmtId, instr: LowInstr) -> usize {
+        self.stmt_limit = self.stmt_limit.max(sid.0 + 1);
+        self.code.push(instr);
+        self.code.len() - 1
+    }
+
+    fn assign(&mut self, sid: StmtId, var: &str, value: &Expr) {
+        let value = self.expr(value);
+        let var = self.interner.var_slot(var);
+        self.emit(sid, LowInstr::Assign { var, value });
+    }
+
+    /// Appends a conditional jump with its target left to [`Self::patch`].
+    fn jump_if_false(&mut self, sid: StmtId, cond: &Expr) -> usize {
+        let cond = self.expr(cond);
+        self.emit(
+            sid,
             LowInstr::JumpIfFalse {
-                cond: expr(cond),
-                target: *target as u32,
-            }
-        }
-        Instr::Halt => LowInstr::Halt,
-    }
-}
-
-fn emit_block(code: &mut Vec<Instr>, block: &Block) {
-    for stmt in block {
-        let sid = stmt.id;
-        match &stmt.kind {
-            StmtKind::Compute { cost } => code.push(Instr::Compute {
-                cost: cost.clone(),
-                stmt: sid,
-            }),
-            StmtKind::Assign { var, value } => code.push(Instr::Assign {
-                var: var.clone(),
-                value: value.clone(),
-                stmt: sid,
-            }),
-            StmtKind::Send { dest, size_bits } => code.push(Instr::Send {
-                dest: dest.clone(),
-                size_bits: size_bits.clone(),
-                stmt: sid,
-            }),
-            StmtKind::Recv { src } => code.push(Instr::Recv {
-                src: src.clone(),
-                stmt: sid,
-            }),
-            StmtKind::Checkpoint { label } => code.push(Instr::Checkpoint {
-                stmt: sid,
-                label: label.clone(),
-            }),
-            StmtKind::If {
                 cond,
-                then_branch,
-                else_branch,
-            } => {
-                let jif_at = code.len();
-                code.push(Instr::JumpIfFalse {
-                    cond: cond.clone(),
-                    target: usize::MAX,
-                    stmt: sid,
-                });
-                emit_block(code, then_branch);
-                if else_branch.is_empty() {
-                    let after = code.len();
-                    patch_jif(code, jif_at, after);
-                } else {
-                    let jmp_at = code.len();
-                    code.push(Instr::Jump { target: usize::MAX });
-                    let else_start = code.len();
-                    patch_jif(code, jif_at, else_start);
-                    emit_block(code, else_branch);
-                    let after = code.len();
-                    patch_jump(code, jmp_at, after);
+                target: u32::MAX,
+            },
+        )
+    }
+
+    fn jump(&mut self, target: usize) -> usize {
+        self.code.push(LowInstr::Jump {
+            target: target as u32,
+        });
+        self.code.len() - 1
+    }
+
+    /// Points the jump at `at` to the next instruction to be emitted.
+    fn patch(&mut self, at: usize) {
+        let here = self.code.len() as u32;
+        match &mut self.code[at] {
+            LowInstr::Jump { target } | LowInstr::JumpIfFalse { target, .. } => *target = here,
+            _ => unreachable!("patch on a non-jump"),
+        }
+    }
+
+    fn block(&mut self, block: &Block) {
+        for stmt in block {
+            let sid = stmt.id;
+            match &stmt.kind {
+                StmtKind::Compute { cost } => {
+                    let cost = self.expr(cost);
+                    self.emit(sid, LowInstr::Compute { cost });
+                }
+                StmtKind::Assign { var, value } => self.assign(sid, var, value),
+                StmtKind::Send { dest, size_bits } => {
+                    let dest = self.expr(dest);
+                    let size_bits = self.expr(size_bits);
+                    self.emit(
+                        sid,
+                        LowInstr::Send {
+                            dest,
+                            size_bits,
+                            stmt: sid,
+                        },
+                    );
+                }
+                StmtKind::Recv { src } => {
+                    let src = match src {
+                        RecvSrc::Any => LowSrc::Any,
+                        RecvSrc::Rank(e) => LowSrc::Rank(self.expr(e)),
+                    };
+                    self.emit(sid, LowInstr::Recv { src, stmt: sid });
+                }
+                StmtKind::Checkpoint { label } => {
+                    let label = match label {
+                        Some(text) => {
+                            self.labels.push(text.as_str().into());
+                            (self.labels.len() - 1) as u32
+                        }
+                        None => NO_LABEL,
+                    };
+                    self.emit(sid, LowInstr::Checkpoint { stmt: sid, label });
+                }
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    let jif_at = self.jump_if_false(sid, cond);
+                    self.block(then_branch);
+                    if else_branch.is_empty() {
+                        self.patch(jif_at);
+                    } else {
+                        let jmp_at = self.jump(usize::MAX);
+                        self.patch(jif_at);
+                        self.block(else_branch);
+                        self.patch(jmp_at);
+                    }
+                }
+                StmtKind::While { cond, body } => {
+                    let check_at = self.jump_if_false(sid, cond);
+                    self.block(body);
+                    self.jump(check_at);
+                    self.patch(check_at);
+                }
+                StmtKind::For {
+                    var,
+                    from,
+                    to,
+                    body,
+                } => {
+                    self.assign(sid, var, from);
+                    let cond = Expr::bin(BinOp::Lt, Expr::Var(var.clone()), to.clone());
+                    let check_at = self.jump_if_false(sid, &cond);
+                    self.block(body);
+                    let incr = Expr::bin(BinOp::Add, Expr::Var(var.clone()), Expr::Int(1));
+                    self.assign(sid, var, &incr);
+                    self.jump(check_at);
+                    self.patch(check_at);
+                }
+                StmtKind::Bcast { .. } | StmtKind::Exchange { .. } => {
+                    unreachable!("collectives lowered before compilation")
                 }
             }
-            StmtKind::While { cond, body } => {
-                let check_at = code.len();
-                code.push(Instr::JumpIfFalse {
-                    cond: cond.clone(),
-                    target: usize::MAX,
-                    stmt: sid,
-                });
-                emit_block(code, body);
-                code.push(Instr::Jump { target: check_at });
-                let after = code.len();
-                patch_jif(code, check_at, after);
-            }
-            StmtKind::For {
-                var,
-                from,
-                to,
-                body,
-            } => {
-                code.push(Instr::Assign {
-                    var: var.clone(),
-                    value: from.clone(),
-                    stmt: sid,
-                });
-                let check_at = code.len();
-                code.push(Instr::JumpIfFalse {
-                    cond: Expr::bin(BinOp::Lt, Expr::Var(var.clone()), to.clone()),
-                    target: usize::MAX,
-                    stmt: sid,
-                });
-                emit_block(code, body);
-                code.push(Instr::Assign {
-                    var: var.clone(),
-                    value: Expr::bin(BinOp::Add, Expr::Var(var.clone()), Expr::Int(1)),
-                    stmt: sid,
-                });
-                code.push(Instr::Jump { target: check_at });
-                let after = code.len();
-                patch_jif(code, check_at, after);
-            }
-            StmtKind::Bcast { .. } | StmtKind::Exchange { .. } => {
-                unreachable!("collectives lowered before compilation")
-            }
         }
-    }
-}
-
-fn patch_jif(code: &mut [Instr], at: usize, to: usize) {
-    if let Instr::JumpIfFalse { target, .. } = &mut code[at] {
-        *target = to;
-    } else {
-        unreachable!("patch_jif on non-JumpIfFalse");
-    }
-}
-
-fn patch_jump(code: &mut [Instr], at: usize, to: usize) {
-    if let Instr::Jump { target } = &mut code[at] {
-        *target = to;
-    } else {
-        unreachable!("patch_jump on non-Jump");
     }
 }
 
@@ -525,10 +419,10 @@ mod tests {
     #[test]
     fn straight_line_compiles_in_order() {
         let c = compile_src("program t; compute 1; checkpoint; send to 0;");
-        assert!(matches!(c.code[0], Instr::Compute { .. }));
-        assert!(matches!(c.code[1], Instr::Checkpoint { .. }));
-        assert!(matches!(c.code[2], Instr::Send { .. }));
-        assert!(matches!(c.code[3], Instr::Halt));
+        assert!(matches!(c.lowered[0], LowInstr::Compute { .. }));
+        assert!(matches!(c.lowered[1], LowInstr::Checkpoint { .. }));
+        assert!(matches!(c.lowered[2], LowInstr::Send { .. }));
+        assert!(matches!(c.lowered[3], LowInstr::Halt));
     }
 
     #[test]
@@ -536,75 +430,79 @@ mod tests {
         let c =
             compile_src("program t; if rank == 0 { compute 1; } else { compute 2; } checkpoint;");
         // 0: JIF -> 3 (else), 1: compute, 2: Jump -> 4, 3: compute, 4: chkpt
-        let Instr::JumpIfFalse { target, .. } = &c.code[0] else {
+        let LowInstr::JumpIfFalse { target, .. } = c.lowered[0] else {
             panic!()
         };
-        assert_eq!(*target, 3);
-        let Instr::Jump { target } = &c.code[2] else {
+        assert_eq!(target, 3);
+        let LowInstr::Jump { target } = c.lowered[2] else {
             panic!()
         };
-        assert_eq!(*target, 4);
-        assert!(matches!(c.code[4], Instr::Checkpoint { .. }));
+        assert_eq!(target, 4);
+        assert!(matches!(c.lowered[4], LowInstr::Checkpoint { .. }));
     }
 
     #[test]
     fn if_without_else_falls_through() {
         let c = compile_src("program t; if rank == 0 { compute 1; } checkpoint;");
-        let Instr::JumpIfFalse { target, .. } = &c.code[0] else {
+        let LowInstr::JumpIfFalse { target, .. } = c.lowered[0] else {
             panic!()
         };
-        assert_eq!(*target, 2);
-        assert!(matches!(c.code[2], Instr::Checkpoint { .. }));
+        assert_eq!(target, 2);
+        assert!(matches!(c.lowered[2], LowInstr::Checkpoint { .. }));
     }
 
     #[test]
     fn while_loops_back_to_check() {
         let c = compile_src("program t; var i; while i < 2 { i := i + 1; } checkpoint;");
         // 0: JIF -> 3, 1: assign, 2: Jump -> 0, 3: chkpt
-        let Instr::JumpIfFalse { target, .. } = &c.code[0] else {
+        let LowInstr::JumpIfFalse { target, .. } = c.lowered[0] else {
             panic!()
         };
-        assert_eq!(*target, 3);
-        let Instr::Jump { target } = &c.code[2] else {
+        assert_eq!(target, 3);
+        let LowInstr::Jump { target } = c.lowered[2] else {
             panic!()
         };
-        assert_eq!(*target, 0);
+        assert_eq!(target, 0);
     }
 
     #[test]
     fn for_desugars_with_init_and_incr() {
         let c = compile_src("program t; var i; for i in 0..3 { compute 1; }");
-        assert!(matches!(c.code[0], Instr::Assign { .. })); // init
-        assert!(matches!(c.code[1], Instr::JumpIfFalse { .. }));
-        assert!(matches!(c.code[2], Instr::Compute { .. }));
-        assert!(matches!(c.code[3], Instr::Assign { .. })); // incr
-        assert!(matches!(c.code[4], Instr::Jump { .. }));
-        assert!(matches!(c.code[5], Instr::Halt));
+        assert!(matches!(c.lowered[0], LowInstr::Assign { .. })); // init
+        assert!(matches!(c.lowered[1], LowInstr::JumpIfFalse { .. }));
+        assert!(matches!(c.lowered[2], LowInstr::Compute { .. }));
+        assert!(matches!(c.lowered[3], LowInstr::Assign { .. })); // incr
+        assert!(matches!(c.lowered[4], LowInstr::Jump { .. }));
+        assert!(matches!(c.lowered[5], LowInstr::Halt));
     }
 
     #[test]
     fn no_unpatched_targets_in_stock_programs() {
         for p in acfc_mpsl::programs::all_stock() {
             let c = compile(&p);
-            for (pc, instr) in c.code.iter().enumerate() {
-                let target = match instr {
-                    Instr::Jump { target } => Some(*target),
-                    Instr::JumpIfFalse { target, .. } => Some(*target),
+            for (pc, instr) in c.lowered.iter().enumerate() {
+                let target = match *instr {
+                    LowInstr::Jump { target } => Some(target),
+                    LowInstr::JumpIfFalse { target, .. } => Some(target),
                     _ => None,
                 };
                 if let Some(t) = target {
-                    assert!(t <= c.code.len(), "{}: pc {pc} target {t} wild", p.name);
-                    assert_ne!(t, usize::MAX, "{}: pc {pc} unpatched", p.name);
+                    assert!(
+                        (t as usize) <= c.len(),
+                        "{}: pc {pc} target {t} wild",
+                        p.name
+                    );
+                    assert_ne!(t, u32::MAX, "{}: pc {pc} unpatched", p.name);
                 }
             }
-            assert!(matches!(c.code.last(), Some(Instr::Halt)));
+            assert!(matches!(c.lowered.last(), Some(LowInstr::Halt)));
         }
     }
 
     #[test]
     fn collectives_compile_to_point_to_point() {
         let c = compile_src("program t; exchange with rank + 1 size 64;");
-        assert!(c.code.iter().any(|i| matches!(i, Instr::Send { .. })));
-        assert!(c.code.iter().any(|i| matches!(i, Instr::Recv { .. })));
+        assert!(c.lowered.iter().any(|i| matches!(i, LowInstr::Send { .. })));
+        assert!(c.lowered.iter().any(|i| matches!(i, LowInstr::Recv { .. })));
     }
 }

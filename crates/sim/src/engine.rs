@@ -12,21 +12,23 @@
 //! is the seeded network jitter).
 
 use crate::backend::{SlotNames, SlotSnapshot, SlotState, StateBackend};
-use crate::bytecode::{Compiled, ExprRef, LowInstr, LowSrc, NO_LABEL};
+use crate::bytecode::Compiled;
 use crate::clock::VectorClock;
 use crate::config::SimConfig;
 use crate::equeue::CalendarQueue;
 use crate::failure::{CutPicker, FailurePlan};
-use crate::hooks::{CoordinationCost, Hooks, NoHooks, RecvAction};
+use crate::hooks::{
+    CoordinationCost, Hooks, NoHooks, RecvAction, FORCED_RUNAWAY, MAX_FORCED_PER_RECV,
+};
 use crate::obs::SimObs;
 use crate::runlog::{trigger_name, RunEvent, RunLog};
+use crate::step::{Step, Stepper};
 use crate::time::SimTime;
 use crate::trace::{
     CheckpointRecord, CkptTrigger, FailureRecord, MessageRecord, Metrics, MsgId, Outcome, Snapshot,
     StmtInstances, Trace, VarStore,
 };
-use acfc_mpsl::lowered::{eval_ops, Op, SlotEnv};
-use acfc_mpsl::{EvalError, StmtId};
+use acfc_mpsl::StmtId;
 use acfc_obs::LocalHist;
 use acfc_util::rng::Rng;
 use std::sync::Arc;
@@ -344,11 +346,8 @@ struct Engine<'a> {
     outcome: Option<Outcome>,
     max_time: SimTime,
     inline_budget: u32,
-    /// Parameter values by slot, shared by all processes (parameters
-    /// are rank-independent); `None` = referenced but never bound.
-    params: Vec<Option<i64>>,
-    /// Scratch stack reused by every expression evaluation.
-    eval_stack: Vec<i64>,
+    /// The interpreter every process is stepped through.
+    stepper: Stepper<'a>,
     /// Snapshot of [`Hooks::uses_timers`]; when `false` the
     /// per-instruction timer poll is elided.
     use_timer_hook: bool,
@@ -469,8 +468,7 @@ impl<'a> Engine<'a> {
             outcome: None,
             max_time: SimTime::ZERO,
             inline_budget: INLINE_BUDGET,
-            params: compiled.bind_params(&config.param_overrides),
-            eval_stack: Vec::new(),
+            stepper: Stepper::new(compiled, config),
             use_timer_hook,
             passive_hooks,
             obs,
@@ -590,54 +588,8 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn runtime_error(&mut self, p: usize, e: impl std::fmt::Display) {
-        self.outcome = Some(Outcome::RuntimeError(p, e.to_string()));
-    }
-
-    fn eval_ref(&mut self, p: usize, r: ExprRef) -> Result<i64, EvalError> {
-        let compiled = self.compiled;
-        let vars = self.procs.vars_of(p);
-        let bound = self.procs.bound_of(p);
-        // The two dominant shapes — a folded constant and a plain
-        // variable read — need none (or almost none) of the SlotEnv,
-        // so resolve them before paying for its construction.
-        match r.ops(&compiled.ops) {
-            [Op::Const(v)] => return Ok(*v),
-            [Op::Load(s)] => {
-                let s = *s as usize;
-                return if bound[s] {
-                    Ok(vars[s])
-                } else {
-                    Err(EvalError::UnboundVar(compiled.var_names[s].clone()))
-                };
-            }
-            _ => {}
-        }
-        let env = SlotEnv {
-            rank: p as i64,
-            nprocs: self.config.nprocs as i64,
-            vars,
-            bound,
-            var_names: &compiled.var_names,
-            params: &self.params,
-            param_names: &compiled.param_names,
-            inputs: &self.config.inputs,
-        };
-        eval_ops(r.ops(&compiled.ops), &env, &mut self.eval_stack)
-    }
-
-    fn resolve_rank(&mut self, p: usize, expr: ExprRef) -> Option<usize> {
-        match self.eval_ref(p, expr) {
-            Ok(v) if v >= 0 && (v as usize) < self.config.nprocs => Some(v as usize),
-            Ok(v) => {
-                self.runtime_error(p, format!("rank expression evaluated to {v}, out of range"));
-                None
-            }
-            Err(e) => {
-                self.runtime_error(p, e);
-                None
-            }
-        }
+    fn runtime_error(&mut self, p: usize, e: impl Into<String>) {
+        self.outcome = Some(Outcome::RuntimeError(p, e.into()));
     }
 
     /// Executes instructions of `p` starting at simulated time `t` until
@@ -649,7 +601,7 @@ impl<'a> Engine<'a> {
         // Hoisted loop invariants: `&mut self` calls in the body defeat
         // the optimizer's own load hoisting.
         let max_steps = self.config.max_steps_per_proc;
-        let instr_us = self.config.cost.instr_overhead_us;
+        let slots = p * self.procs.nslots..(p + 1) * self.procs.nslots;
         loop {
             if self.outcome.is_some() {
                 return;
@@ -679,26 +631,22 @@ impl<'a> Engine<'a> {
                 self.yield_ready(p, now);
                 return;
             }
-            let pc = self.procs.pc[p];
-            let instr = self.compiled.lowered[pc];
             self.procs.executed[p] += 1;
-            match instr {
-                LowInstr::Compute { cost } => {
-                    let c = match self.eval_ref(p, cost) {
-                        Ok(v) if v >= 0 => v as u64,
-                        Ok(v) => {
-                            self.runtime_error(p, format!("negative compute cost {v}"));
-                            return;
-                        }
-                        Err(e) => {
-                            self.runtime_error(p, e);
-                            return;
-                        }
-                    };
-                    now +=
-                        c * self.config.cost.compute_unit_us + self.config.cost.instr_overhead_us;
-                    self.compute_us[p] += c * self.config.cost.compute_unit_us;
-                    self.procs.pc[p] = pc + 1;
+            let step = self.stepper.step(
+                p,
+                &mut self.procs.pc[p],
+                &mut self.procs.vars[slots.clone()],
+                &mut self.procs.bound[slots.clone()],
+            );
+            match step {
+                Step::Local { cost_us } => now += cost_us,
+                Step::Bound { cost_us } => {
+                    now += cost_us;
+                    self.procs.bound_arc[p] = None;
+                }
+                Step::Compute { cost_us, work_us } => {
+                    now += cost_us;
+                    self.compute_us[p] += work_us;
                     if self.can_run_ahead(now) {
                         self.mark_progress(p, now);
                         continue;
@@ -706,75 +654,14 @@ impl<'a> Engine<'a> {
                     self.yield_ready(p, now);
                     return;
                 }
-                LowInstr::Assign { var, value } => {
-                    match self.eval_ref(p, value) {
-                        Ok(v) => {
-                            let at = p * self.procs.nslots + var as usize;
-                            self.procs.vars[at] = v;
-                            if !self.procs.bound[at] {
-                                self.procs.bound[at] = true;
-                                self.procs.bound_arc[p] = None;
-                            }
-                        }
-                        Err(e) => {
-                            self.runtime_error(p, e);
-                            return;
-                        }
-                    }
-                    now += instr_us;
-                    self.procs.pc[p] = pc + 1;
-                }
-                LowInstr::Jump { target } => {
-                    now += instr_us;
-                    self.procs.pc[p] = target as usize;
-                }
-                LowInstr::JumpIfFalse { cond, target } => {
-                    let v = match self.eval_ref(p, cond) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            self.runtime_error(p, e);
-                            return;
-                        }
-                    };
-                    now += instr_us;
-                    self.procs.pc[p] = if v == 0 { target as usize } else { pc + 1 };
-                }
-                LowInstr::Send {
-                    dest,
-                    size_bits,
-                    stmt,
-                } => {
-                    let Some(to) = self.resolve_rank(p, dest) else {
-                        return;
-                    };
-                    let bits = match self.eval_ref(p, size_bits) {
-                        Ok(v) if v >= 0 => v as u64,
-                        Ok(v) => {
-                            self.runtime_error(p, format!("negative message size {v}"));
-                            return;
-                        }
-                        Err(e) => {
-                            self.runtime_error(p, e);
-                            return;
-                        }
-                    };
+                Step::Send { to, bits, stmt } => {
                     self.do_send(p, to, bits, stmt, now);
                     now += self.config.cost.send_overhead_us;
-                    self.procs.pc[p] = pc + 1;
                 }
-                LowInstr::Recv { src, stmt } => {
-                    let want: Option<usize> = match src {
-                        LowSrc::Any => None,
-                        LowSrc::Rank(e) => {
-                            let Some(s) = self.resolve_rank(p, e) else {
-                                return;
-                            };
-                            Some(s)
-                        }
-                    };
+                Step::Recv { want, stmt } => {
                     if let Some(m) = self.pick_inbox(p, want) {
                         now = self.consume_message(p, m, stmt, now);
-                        self.procs.pc[p] = pc + 1;
+                        self.procs.pc[p] += 1;
                         if self.outcome.is_some() {
                             return;
                         }
@@ -789,20 +676,12 @@ impl<'a> Engine<'a> {
                         return;
                     }
                 }
-                LowInstr::Checkpoint { stmt, label } => {
-                    self.procs.pc[p] = pc + 1;
+                Step::Checkpoint { stmt, label } => {
                     if self.passive_hooks || self.hooks.take_app_checkpoint(p, now) {
-                        // Label strings are materialised only when a
-                        // checkpoint is actually recorded.
-                        let label = if label == NO_LABEL {
-                            None
-                        } else {
-                            Some(self.compiled.labels[label as usize].clone())
-                        };
                         self.take_checkpoint(
                             p,
                             Some(stmt),
-                            label,
+                            label.cloned(),
                             CkptTrigger::AppStatement,
                             &mut now,
                         );
@@ -812,11 +691,10 @@ impl<'a> Engine<'a> {
                         }
                         self.yield_ready(p, now);
                         return;
-                    } else {
-                        now += instr_us;
                     }
+                    now += self.config.cost.instr_overhead_us;
                 }
-                LowInstr::Halt => {
+                Step::Halt => {
                     self.procs.state[p] = PState::Halted;
                     self.procs.now[p] = now;
                     self.note_time(now);
@@ -826,6 +704,10 @@ impl<'a> Engine<'a> {
                             vtime_us: now.as_micros(),
                         });
                     }
+                    return;
+                }
+                Step::Error(e) => {
+                    self.runtime_error(p, e);
                     return;
                 }
             }
@@ -1010,10 +892,10 @@ impl<'a> Engine<'a> {
             }
             self.take_checkpoint(p, None, None, CkptTrigger::Forced, &mut now);
             guard += 1;
-            assert!(
-                guard < 100_000,
-                "hooks demanded forced checkpoints without converging"
-            );
+            if guard >= MAX_FORCED_PER_RECV {
+                self.runtime_error(p, FORCED_RUNAWAY);
+                return now;
+            }
         }
         if let Some(d) = self.delta.as_mut() {
             // Merge the O(Δ) payload: componentwise max over the

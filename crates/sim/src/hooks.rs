@@ -22,6 +22,15 @@ pub enum RecvAction {
     ForceCheckpointFirst,
 }
 
+/// How many forced checkpoints a protocol may demand before one
+/// receive (index-based CIC catching up several indices needs a few);
+/// past it the run ends with the runtime error [`FORCED_RUNAWAY`].
+pub const MAX_FORCED_PER_RECV: u32 = 100_000;
+
+/// The runtime error of a protocol whose forced checkpoints never
+/// satisfy it.
+pub const FORCED_RUNAWAY: &str = "hooks demanded forced checkpoints without converging";
+
 /// Extra cost a protocol charges when a checkpoint is taken.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoordinationCost {

@@ -5,7 +5,8 @@
 //! blocking receives, deterministic processes, and crash failures with
 //! rollback to checkpoints. This crate is that model, made executable:
 //!
-//! * [`compile`] — MPSL programs to a flat instruction stream,
+//! * [`compile`] — MPSL programs to a flat instruction stream, and
+//!   [`step`] — its one interpreter, shared by every scheduler,
 //! * [`run`] / [`run_with_hooks`] / [`run_with_failures`] — the
 //!   discrete-event engine ([`SimConfig`] holds the paper's network and
 //!   checkpoint cost parameters: `w_m`, `w_b`, `o`, `l`, `R`),
@@ -56,11 +57,12 @@ pub mod obs;
 pub mod perfetto;
 pub mod runlog;
 pub mod stats;
+pub mod step;
 pub mod time;
 pub mod trace;
 
 pub use backend::{BackendError, SimBackend, StateBackend, StateSnapshot};
-pub use bytecode::{compile, Compiled, Instr};
+pub use bytecode::{compile, Compiled};
 pub use clock::VectorClock;
 pub use config::{ClockMode, CostModel, NetworkModel, SimConfig, DENSE_CLOCK_MAX};
 pub use engine::{
@@ -69,7 +71,10 @@ pub use engine::{
 pub use equeue::{CalendarQueue, SortedVecQueue};
 pub use export::{checkpoints_tsv, golden, messages_tsv, spacetime, summary};
 pub use failure::{CutPicker, FailurePlan, PickerFn, RecoveryView};
-pub use hooks::{CoordinationCost, Hooks, NoHooks, RecvAction, TimerCheckpoints};
+pub use hooks::{
+    CoordinationCost, Hooks, NoHooks, RecvAction, TimerCheckpoints, FORCED_RUNAWAY,
+    MAX_FORCED_PER_RECV,
+};
 pub use obs::{ProcObs, SimObs};
 pub use perfetto::{merged_timeline, merged_timeline_json, timeline, timeline_json, MergedRun};
 pub use runlog::{trigger_name, RunEvent, RunLog};

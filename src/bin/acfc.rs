@@ -487,6 +487,9 @@ fn cmd_run_real(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_run(args: &Args) -> Result<(), String> {
+    if args.nprocs == 0 {
+        return Err(acfc::protocols::ConfigError::ZeroProcs.to_string());
+    }
     if args.real {
         return cmd_run_real(args);
     }

@@ -470,6 +470,31 @@ fn nprocs_beyond_the_analysis_limit_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn zero_processes_or_interval_is_an_error_not_a_panic() {
+    let jacobi = ["run", "programs/jacobi.mpsl"];
+    let mut cases: Vec<Vec<&str>> = vec![
+        vec!["--nprocs", "0"],
+        vec!["--real", "--nprocs", "0"],
+        vec!["--real", "--det", "--nprocs", "0"],
+    ];
+    for protocol in ["c-l", "sas", "uncoordinated", "index"] {
+        for det in [&[][..], &["--det"]] {
+            let mut case = vec!["--real", "--interval-us", "0", "--protocol", protocol];
+            case.extend_from_slice(det);
+            cases.push(case);
+        }
+    }
+    for case in cases {
+        let args: Vec<&str> = jacobi.iter().chain(&case).copied().collect();
+        let out = acfc(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("error:"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn trace_flag_prints_spacetime() {
     let out = acfc(&["run", "programs/jacobi.mpsl", "--nprocs", "2", "--trace"]);
     assert!(out.status.success());
