@@ -171,10 +171,14 @@ pub const MAX_COMPARE_PROCS: usize = 4096;
 pub const DEFAULT_MEMORY_BUDGET_MIB: u64 = 2048;
 
 /// Coarse upper estimate of one simulation run's resident memory at
-/// `n` processes, MiB. Dominated by the per-process dense working
-/// clocks (n² × 8 bytes, doubled for transient copies during rollback)
-/// plus a per-process allowance for trace records; deliberately
-/// pessimistic, because it gates runs *before* they allocate.
+/// `n` processes, MiB: n² × 16 bytes plus a per-process allowance for
+/// trace records. The quadratic term is one full-support sparse
+/// checkpoint stamp per process (n entries of 16 bytes), what a run
+/// whose processes all know each other records per round of
+/// checkpoints; the working clocks are sparse and, with the
+/// neighbour-exchange workloads' small supports, far smaller.
+/// Deliberately pessimistic, because it gates runs *before* they
+/// allocate.
 pub fn estimated_run_mib(n: usize) -> u64 {
     let bytes = 16 * (n as u64) * (n as u64) + 65_536 * n as u64;
     bytes.div_ceil(1 << 20)

@@ -14,13 +14,17 @@
 //! * **inline** — up to [`INLINE`] components in a fixed buffer, so a
 //!   clone into a record is a plain memcpy (every bench-sized n);
 //! * **dense heap** — a `Vec<u64>` beyond that (the engine's working
-//!   clocks at any n);
+//!   clocks in dense mode, so up to `DENSE_CLOCK_MAX` processes by
+//!   default);
 //! * **sparse** — an `Arc`-shared sorted list of the *nonzero*
 //!   `(index, value)` entries, used by the engine's large-n delta-clock
 //!   mode to stamp checkpoints in O(support) space instead of O(n).
 //!   Neighbour-exchange workloads keep the support small (information
 //!   travels one hop per iteration), so at n = 2048 a stamp is a few
-//!   hundred bytes instead of 16 KiB.
+//!   hundred bytes instead of 16 KiB. (The delta-mode *working* clocks
+//!   are not `VectorClock`s at all: the engine keeps them as plain
+//!   sorted entry lists with last-update stamps, and copies one into a
+//!   sparse stamp per checkpoint.)
 //!
 //! Comparison, equality, hashing, and display are representation-
 //! independent: a sparse stamp equals the dense clock with the same
@@ -86,6 +90,22 @@ impl VectorClock {
         })
     }
 
+    /// A sparse stamp copied from entries that are already canonical
+    /// (sorted by index, nonzero, in range), as the engine's sparse
+    /// working clocks keep them: one allocation and a copy, no filter,
+    /// no validation outside debug builds.
+    pub(crate) fn from_sorted_nonzero(n: usize, entries: &[(u32, u64)]) -> VectorClock {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0)
+                && entries.iter().all(|&(i, v)| v != 0 && (i as usize) < n),
+            "entries must be canonical"
+        );
+        VectorClock(Repr::Sparse {
+            n: n as u32,
+            entries: entries.into(),
+        })
+    }
+
     /// `true` for the immutable sparse-stamp representation.
     pub fn is_sparse(&self) -> bool {
         matches!(self.0, Repr::Sparse { .. })
@@ -104,7 +124,7 @@ impl VectorClock {
             .expect("operation requires a dense clock, got a sparse stamp")
     }
 
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
+    fn as_mut_slice(&mut self) -> &mut [u64] {
         match &mut self.0 {
             Repr::Small { len, buf } => &mut buf[..*len as usize],
             Repr::Heap(v) => v,

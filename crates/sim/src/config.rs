@@ -2,12 +2,14 @@
 //! vector-clock representation policy.
 
 /// Largest process count at which [`ClockMode::Auto`] keeps dense
-/// vector-clock piggybacks. Below this, every send clones the full
-/// clock into the message record (cheap — inline or one small `Vec`)
-/// and traces carry complete per-message stamps. Above it the engine
-/// switches to O(Δ) delta piggybacks and sparse checkpoint stamps:
-/// semantically equivalent clocks, but message records no longer embed
-/// per-message stamps (n² × 8 bytes each would dominate memory).
+/// vector clocks. Below this, every process works on a full n-entry
+/// clock, every send clones it into the message record (cheap — inline
+/// or one small `Vec`) and traces carry complete per-message stamps.
+/// Above it the engine switches to sparse working clocks, O(Δ) delta
+/// piggybacks and sparse checkpoint stamps: semantically equivalent
+/// clocks, costing O(support) per process instead of O(n), but message
+/// records no longer embed per-message stamps (n² × 8 bytes each would
+/// dominate memory).
 pub const DENSE_CLOCK_MAX: usize = 64;
 
 /// How the engine represents and transports vector clocks.
@@ -17,10 +19,13 @@ pub enum ClockMode {
     /// default: small runs keep byte-identical traces, large runs scale.
     #[default]
     Auto,
-    /// Full clocks on every message and checkpoint regardless of n.
+    /// Full working clocks, and full clocks on every message and
+    /// checkpoint, regardless of n.
     Dense,
-    /// Delta-encoded piggybacks (only components changed since the last
-    /// send on the channel) and sparse checkpoint stamps, at any n.
+    /// At any n: per-process working clocks that hold only their
+    /// nonzero entries, each with a last-update stamp; piggybacks that
+    /// carry only the entries changed since the last send on the
+    /// channel; and sparse checkpoint stamps.
     Delta,
 }
 

@@ -172,6 +172,8 @@ struct ProcTable {
     /// clones a refcount instead of a vector.
     bound_arc: Vec<Option<Arc<[bool]>>>,
     pc: Vec<usize>,
+    /// Dense working clocks; empty in delta mode, whose sparse clocks
+    /// live in [`DeltaState`].
     vc: Vec<VectorClock>,
     state: Vec<PState>,
     ckpt_seq: Vec<u64>,
@@ -268,50 +270,198 @@ struct InChan {
     tail: u32,
 }
 
-/// One sender-side channel: FIFO delivery-time watermark plus the
-/// delta-clock chain cursor. Created lazily per (sender, dest) pair and
-/// kept sorted by dest — replaces the old `chan_last[n × n]` array.
+/// One sender-side channel: FIFO delivery-time watermark plus, in delta
+/// mode, how far its receiver is covered. Created lazily per (sender,
+/// dest) pair and kept sorted by dest — replaces the old
+/// `chan_last[n × n]` array.
 struct OutChan {
     dest: u32,
     last: SimTime,
-    /// Delta mode: which log epoch `log_pos` refers to; a stale epoch
-    /// (after a rollback) forces a full-support resend.
-    log_epoch: u64,
-    /// Delta mode: position in the sender's modification log up to
-    /// which this channel's receiver is already covered.
-    log_pos: usize,
+    /// Delta mode: the sender's own clock component at the previous
+    /// send on this channel (0 when there was none since the channel
+    /// was created or a rollback reset it). The next payload carries
+    /// the entries stamped after it.
+    sent_own: u64,
 }
 
-/// Large-n delta-clock machinery (engine side). Working clocks stay
-/// dense; what scales as O(Δ) is the *transport*: each send carries
-/// only the `(index, value)` pairs changed since the previous send on
-/// that channel, and each checkpoint stamp is a sparse clock built from
-/// the process's support set. Self-contained payloads (values, not
-/// diffs) make redelivery after rollback trivially safe: merging is a
-/// componentwise max, so replaying an old payload can never regress a
-/// clock.
+/// Large-n sparse clocks (engine side). A process's working clock is
+/// the sorted list of its nonzero `(index, value)` entries, so it costs
+/// O(support), not O(n). Each entry carries a last-update stamp — the
+/// owner's own component at the event that last raised it (the
+/// Singhal–Kshemkalyani technique) — so a send on `p → q` carries the
+/// own entry plus exactly the entries stamped after `p`'s own component
+/// at the previous send on that channel: the O(Δ) piggyback, already
+/// sorted. For the paper's neighbour-exchange workloads the support
+/// grows one hop per iteration, so checkpoint stamps stay small even at
+/// n = 2048. Payloads are values, not diffs, so redelivery after a
+/// rollback is safe: merging is a componentwise max, and replaying an
+/// old payload can never regress a clock.
 struct DeltaState {
-    /// Per-process modification log: component indices increased by
-    /// merges (own-component ticks are never logged — the own entry is
-    /// included in every payload unconditionally).
-    log: Vec<Vec<u32>>,
-    /// Per-process log epoch, bumped on every rollback: out-channels
-    /// holding a cursor into a previous epoch fall back to a full
-    /// resend, which is always correct under max-merge.
-    epoch: Vec<u64>,
-    /// Per-process support: indices ever nonzero this epoch, plus the
-    /// own index. Appended on 0→nonzero transitions; for the paper's
-    /// neighbour-exchange workloads it grows one hop per iteration, so
-    /// checkpoint stamps stay tiny even at n = 2048.
-    support: Vec<Vec<u32>>,
-    /// Pass-stamped scratch for payload dedup, length n.
-    seen: Vec<u64>,
-    seen_pass: u64,
-    /// Per-message payloads, parallel to `Engine::messages`; kept for
-    /// the lifetime of the run so rolled-back messages can be
-    /// redelivered with their original payload.
-    payloads: Vec<Box<[(u32, u64)]>>,
-    scratch: Vec<(u32, u64)>,
+    /// Per-process working clock: nonzero entries sorted by index. The
+    /// own entry always equals the process's step count.
+    clocks: Vec<Vec<(u32, u64)>>,
+    /// Last-update stamps, parallel to `clocks`.
+    stamps: Vec<Vec<u64>>,
+    /// Per-process largest stamp written by a merge (or a restore): a
+    /// channel whose previous send is at least that recent is owed the
+    /// own entry alone.
+    merged_at: Vec<u64>,
+    /// Every payload, flat, in send order; kept for the lifetime of the
+    /// run so rolled-back messages can be redelivered with their
+    /// original payload.
+    payload: Vec<(u32, u64)>,
+    /// Per message, parallel to `Engine::messages`: its payload's
+    /// `(start, len)` in `payload`.
+    spans: Vec<(u32, u32)>,
+    /// Merge scratch: payload entries absent from the receiver's clock.
+    missing: Vec<(u32, u64)>,
+}
+
+impl DeltaState {
+    fn new(n: usize) -> DeltaState {
+        DeltaState {
+            clocks: vec![Vec::new(); n],
+            stamps: vec![Vec::new(); n],
+            merged_at: vec![0; n],
+            // Room for `Engine::messages`' initial 16 messages per
+            // process at four entries each.
+            payload: Vec::with_capacity((n * 64).max(1024)),
+            spans: Vec::with_capacity((n * 16).max(384)),
+            missing: Vec::new(),
+        }
+    }
+
+    /// Sets `p`'s own entry to `own`, its new step count (one more than
+    /// before: every event ticks it once).
+    fn tick(&mut self, p: usize, own: u64) {
+        let (clock, stamps) = (&mut self.clocks[p], &mut self.stamps[p]);
+        match clock.binary_search_by_key(&(p as u32), |e| e.0) {
+            Ok(k) => {
+                debug_assert_eq!(clock[k].1 + 1, own, "own component tracks the step count");
+                clock[k].1 = own;
+                stamps[k] = own;
+            }
+            Err(k) => {
+                debug_assert_eq!(own, 1, "own component tracks the step count");
+                clock.insert(k, (p as u32, own));
+                stamps.insert(k, own);
+            }
+        }
+    }
+
+    /// Appends the payload of a send by `p`, whose own component this
+    /// send ticked to `own`, on a channel whose previous send left
+    /// `since`: the entries stamped after `since`, the own entry among
+    /// them. With no merge since then that is the own entry alone,
+    /// written without a scan.
+    fn push_payload(&mut self, p: usize, own: u64, since: u64) {
+        let start = self.payload.len();
+        if self.merged_at[p] <= since {
+            self.payload.push((p as u32, own));
+        } else {
+            // Branch-free filter: copy every entry, keep the fresh ones.
+            let (clock, stamps) = (&self.clocks[p], &self.stamps[p]);
+            self.payload.resize(start + clock.len(), (0, 0));
+            let mut end = start;
+            for (&e, &s) in clock.iter().zip(stamps) {
+                self.payload[end] = e;
+                end += usize::from(s > since);
+            }
+            self.payload.truncate(end);
+        }
+        let start = u32::try_from(start).expect("payload arena overflow");
+        let len = self.payload.len() as u32 - start;
+        self.spans.push((start, len));
+    }
+
+    /// Merges message `m`'s payload into `p`'s clock (componentwise
+    /// max), stamping every raised entry with `at`, the own component
+    /// of the receive event. Entries already present are found by
+    /// galloping from the previous hit and updated in place — a
+    /// one-entry payload costs O(log support), a payload covering the
+    /// whole clock one linear walk — and absent ones are merged in from
+    /// the back in one O(support) pass.
+    fn merge(&mut self, p: usize, m: usize, at: u64) {
+        let (start, len) = self.spans[m];
+        let payload = &self.payload[start as usize..(start + len) as usize];
+        let (clock, stamps) = (&mut self.clocks[p], &mut self.stamps[p]);
+        let missing = &mut self.missing;
+        missing.clear();
+        let mut raised = false;
+        let mut lo = 0;
+        for &(i, v) in payload {
+            match gallop(clock, lo, i) {
+                Ok(k) => {
+                    if v > clock[k].1 {
+                        clock[k].1 = v;
+                        stamps[k] = at;
+                        raised = true;
+                    }
+                    lo = k + 1;
+                }
+                Err(k) => {
+                    lo = k;
+                    missing.push((i, v));
+                }
+            }
+        }
+        if !missing.is_empty() {
+            raised = true;
+            let (mut i, mut j) = (clock.len(), missing.len());
+            clock.resize(i + j, (0, 0));
+            stamps.resize(i + j, 0);
+            while j > 0 {
+                let w = i + j - 1;
+                if i > 0 && clock[i - 1].0 > missing[j - 1].0 {
+                    clock[w] = clock[i - 1];
+                    stamps[w] = stamps[i - 1];
+                    i -= 1;
+                } else {
+                    clock[w] = missing[j - 1];
+                    stamps[w] = at;
+                    j -= 1;
+                }
+            }
+        }
+        if raised {
+            self.merged_at[p] = at;
+        }
+    }
+
+    /// Resets `q`'s clock to a checkpoint stamp (`None`: the initial
+    /// zero clock) taken at step `own`. Every entry is stamped `own`
+    /// and the caller resets every out-channel, so the next send on
+    /// each channel carries the full support.
+    fn restore(&mut self, q: usize, stamp: Option<&VectorClock>, own: u64) {
+        let clock = &mut self.clocks[q];
+        clock.clear();
+        clock.extend(stamp.into_iter().flat_map(VectorClock::iter_nonzero));
+        debug_assert_eq!(
+            clock.iter().find(|e| e.0 == q as u32).map_or(0, |e| e.1),
+            own,
+            "own component tracks the step count"
+        );
+        self.stamps[q].clear();
+        self.stamps[q].resize(clock.len(), own);
+        self.merged_at[q] = own;
+    }
+}
+
+/// Where index `i` is (`Ok`) or belongs (`Err`) in the sorted `clock`,
+/// given that every entry before `lo` is smaller: an exponential probe
+/// from `lo`, then a binary search in the last bracket — O(log d) for
+/// a target `d` entries on.
+fn gallop(clock: &[(u32, u64)], mut lo: usize, i: u32) -> Result<usize, usize> {
+    let mut bound = 1;
+    while lo + bound <= clock.len() && clock[lo + bound - 1].0 < i {
+        lo += bound;
+        bound *= 2;
+    }
+    let hi = (lo + bound).min(clock.len());
+    match clock[lo..hi].binary_search_by_key(&i, |e| e.0) {
+        Ok(k) => Ok(lo + k),
+        Err(k) => Err(lo + k),
+    }
 }
 
 struct Engine<'a> {
@@ -415,6 +565,7 @@ impl<'a> Engine<'a> {
         for p in 0..n {
             bound[p * nslots..p * nslots + declared].fill(true);
         }
+        let delta = config.clock_mode.is_delta(n).then(|| DeltaState::new(n));
         let procs = ProcTable {
             nslots,
             stmt_limit,
@@ -422,7 +573,10 @@ impl<'a> Engine<'a> {
             bound,
             bound_arc: vec![None; n],
             pc: vec![0; n],
-            vc: (0..n).map(|_| VectorClock::new(n)).collect(),
+            vc: match delta {
+                Some(_) => Vec::new(),
+                None => (0..n).map(|_| VectorClock::new(n)).collect(),
+            },
             state: vec![PState::Ready; n],
             ckpt_seq: vec![0; n],
             stmt_instances: vec![0; n * stmt_limit],
@@ -430,15 +584,6 @@ impl<'a> Engine<'a> {
             executed: vec![0; n],
             now: vec![SimTime::ZERO; n],
         };
-        let delta = config.clock_mode.is_delta(n).then(|| DeltaState {
-            log: vec![Vec::new(); n],
-            epoch: vec![0; n],
-            support: (0..n).map(|p| vec![p as u32]).collect(),
-            seen: vec![0; n],
-            seen_pass: 0,
-            payloads: Vec::with_capacity((n * 16).max(384)),
-            scratch: Vec::new(),
-        });
         let use_timer_hook = hooks.uses_timers();
         let passive_hooks = hooks.passive();
         let mut engine = Engine {
@@ -561,6 +706,10 @@ impl<'a> Engine<'a> {
             o.events_processed += self.events_processed;
             o.run_ahead_hits += self.run_ahead_hits;
             o.inbox_channels += self.inbox_channels;
+            o.piggyback_entries += match &self.delta {
+                Some(d) => d.payload.len() as u64,
+                None => self.metrics.app_messages * self.config.nprocs as u64,
+            };
             o.queue_depth.merge(&self.queue_depth);
             for (p, &us) in self.compute_us.iter().enumerate() {
                 o.per_proc[p].compute_us += us;
@@ -746,8 +895,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Index of the sender-side channel `from → to`, creating it on
-    /// first use (a fresh channel starts with an out-of-date log epoch,
-    /// so delta mode's first send on it is a full-support payload).
+    /// first use (a fresh channel has seen no send, so delta mode's
+    /// first send on it is a full-support payload).
     fn out_chan(&mut self, from: usize, to: usize) -> usize {
         let chans = &mut self.out[from];
         match chans.binary_search_by_key(&(to as u32), |c| c.dest) {
@@ -758,8 +907,7 @@ impl<'a> Engine<'a> {
                     OutChan {
                         dest: to as u32,
                         last: SimTime::ZERO,
-                        log_epoch: u64::MAX,
-                        log_pos: 0,
+                        sent_own: 0,
                     },
                 );
                 i
@@ -767,9 +915,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn do_send(&mut self, p: usize, to: usize, bits: u64, stmt: StmtId, now: SimTime) {
-        self.procs.vc[p].tick(p);
+    /// Ticks `p`'s own clock component, which always equals its step
+    /// count (every send, receive and checkpoint ticks both).
+    fn tick(&mut self, p: usize) {
         self.procs.step[p] += 1;
+        match self.delta.as_mut() {
+            Some(d) => d.tick(p, self.procs.step[p]),
+            None => self.procs.vc[p].tick(p),
+        }
+    }
+
+    fn do_send(&mut self, p: usize, to: usize, bits: u64, stmt: StmtId, now: SimTime) {
+        self.tick(p);
         let piggyback = if self.passive_hooks {
             self.procs.ckpt_seq[p]
         } else {
@@ -790,16 +947,12 @@ impl<'a> Engine<'a> {
         let idx = self.messages.len();
         let send_vc = if let Some(d) = self.delta.as_mut() {
             // O(Δ) piggyback: the payload covers every component that
-            // changed since the previous send on this channel (plus the
-            // own component, unconditionally). The record itself gets
-            // an empty placeholder — at large n, embedding full stamps
-            // in every record is exactly what delta mode exists to
-            // avoid.
-            let cursor = (chan.log_epoch == d.epoch[p]).then_some(chan.log_pos);
-            chan.log_epoch = d.epoch[p];
-            chan.log_pos = d.log[p].len();
-            let payload = collect_payload(d, &self.procs.vc[p], p, cursor);
-            d.payloads.push(payload);
+            // changed since the previous send on this channel, the own
+            // component among them. The record itself gets an empty
+            // placeholder — at large n, embedding full stamps in every
+            // record is exactly what delta mode exists to avoid.
+            let own = self.procs.step[p];
+            d.push_payload(p, own, std::mem::replace(&mut chan.sent_own, own));
             VectorClock::new(0)
         } else {
             self.procs.vc[p].clone()
@@ -898,34 +1051,16 @@ impl<'a> Engine<'a> {
             }
         }
         if let Some(d) = self.delta.as_mut() {
-            // Merge the O(Δ) payload: componentwise max over the
-            // carried entries, logging merge-increases for downstream
-            // sends and extending the support on 0→nonzero flips.
-            let DeltaState {
-                payloads,
-                log,
-                support,
-                ..
-            } = d;
-            let slice = self.procs.vc[p].as_mut_slice();
-            for &(i, v) in payloads[m].iter() {
-                let c = &mut slice[i as usize];
-                if v > *c {
-                    if *c == 0 {
-                        support[p].push(i);
-                    }
-                    *c = v;
-                    log[p].push(i);
-                }
-            }
+            // Merge the O(Δ) payload, stamping what it raises with the
+            // receive event's own component (the tick below).
+            d.merge(p, m, self.procs.step[p] + 1);
         } else {
             // Disjoint borrows: the sender's clock is read from the
             // message records while the receiver's is updated in place
             // — no clone.
             self.procs.vc[p].merge(&self.messages[m].send_vc);
         }
-        self.procs.vc[p].tick(p);
-        self.procs.step[p] += 1;
+        self.tick(p);
         now += self.config.cost.instr_overhead_us;
         let rec = &mut self.messages[m];
         rec.recv_at = Some(now);
@@ -957,8 +1092,7 @@ impl<'a> Engine<'a> {
             self.hooks.coordination_cost(p, *now)
         };
         let compiled = self.compiled;
-        self.procs.vc[p].tick(p);
-        self.procs.step[p] += 1;
+        self.tick(p);
         self.procs.ckpt_seq[p] += 1;
         let instance = match stmt {
             Some(sid) => {
@@ -970,20 +1104,11 @@ impl<'a> Engine<'a> {
         };
         let start = *now;
         let stall = self.config.cost.ckpt_overhead_us + coord.stall_us;
-        // Dense mode embeds the working clock; delta mode builds one
-        // sparse stamp from the support set — O(support), not O(n) —
+        // Dense mode embeds the working clock; delta mode copies its
+        // sorted entries into one sparse stamp — O(support), not O(n) —
         // shared (refcounted) between the record and the snapshot.
-        let vc_stamp = if let Some(d) = self.delta.as_mut() {
-            let slice = self.procs.vc[p].components();
-            d.scratch.clear();
-            for &i in &d.support[p] {
-                let v = slice[i as usize];
-                if v > 0 {
-                    d.scratch.push((i, v));
-                }
-            }
-            d.scratch.sort_unstable_by_key(|&(i, _)| i);
-            VectorClock::from_entries(slice.len(), d.scratch.iter().copied())
+        let vc_stamp = if let Some(d) = self.delta.as_ref() {
+            VectorClock::from_sorted_nonzero(self.config.nprocs, &d.clocks[p])
         } else {
             self.procs.vc[p].clone()
         };
@@ -1244,6 +1369,7 @@ impl<'a> Engine<'a> {
         for chans in &mut self.out {
             for c in chans.iter_mut() {
                 c.last = SimTime::ZERO;
+                c.sent_own = 0;
             }
         }
         // Re-schedule in-flight deliveries (fresh jitter, FIFO per
@@ -1270,11 +1396,10 @@ impl<'a> Engine<'a> {
         }
         // Restore processes in place, reusing each process's existing
         // rows instead of allocating fresh ones. In delta mode the
-        // sparse snapshot stamp is materialised back into the dense
-        // working clock, the modification log epoch is bumped (so every
-        // out-channel falls back to a full-support resend — always
-        // correct under max-merge), and the support set is rebuilt from
-        // the stamp.
+        // sparse snapshot stamp becomes the working clock with every
+        // entry stamped at the restored step; with the out-channels
+        // reset above, the next send on each carries the full support —
+        // always correct under max-merge.
         #[allow(clippy::needless_range_loop)]
         for q in 0..nprocs {
             self.epochs[q] += 1;
@@ -1287,48 +1412,29 @@ impl<'a> Engine<'a> {
                     self.procs.vars[base..base + nslots].copy_from_slice(&snap.vars.values);
                     self.procs.bound[base..base + nslots].copy_from_slice(&snap.vars.bound);
                     self.procs.bound_arc[q] = Some(snap.vars.bound.clone());
-                    if snap.vc.is_sparse() {
-                        let slice = self.procs.vc[q].as_mut_slice();
-                        slice.fill(0);
-                        for (i, v) in snap.vc.iter_nonzero() {
-                            slice[i as usize] = v;
-                        }
-                    } else {
-                        self.procs.vc[q].clone_from(&snap.vc);
+                    match self.delta.as_mut() {
+                        Some(d) => d.restore(q, Some(&snap.vc), snap.step),
+                        None => self.procs.vc[q].clone_from(&snap.vc),
                     }
                     self.procs.ckpt_seq[q] = snap.ckpt_seq;
                     self.procs
                         .insts_of_mut(q)
                         .copy_from_slice(&snap.stmt_instances.0);
                     self.procs.step[q] = snap.step;
-                    if let Some(d) = self.delta.as_mut() {
-                        let snap = &self.checkpoints[i].snapshot;
-                        d.support[q].clear();
-                        d.support[q].extend(snap.vc.iter_nonzero().map(|(i, _)| i));
-                        // The own component is strictly positive at any
-                        // checkpoint (the checkpoint event ticked it),
-                        // so it is always among the nonzero entries.
-                        debug_assert!(d.support[q].contains(&(q as u32)));
-                    }
                 }
                 None => {
                     self.procs.pc[q] = 0;
                     // As with the map-based store, values reset to 0
                     // but binding state is untouched.
                     self.procs.vars[base..base + nslots].fill(0);
-                    self.procs.vc[q] = VectorClock::new(nprocs);
+                    match self.delta.as_mut() {
+                        Some(d) => d.restore(q, None, 0),
+                        None => self.procs.vc[q] = VectorClock::new(nprocs),
+                    }
                     self.procs.ckpt_seq[q] = 0;
                     self.procs.insts_of_mut(q).fill(0);
                     self.procs.step[q] = 0;
-                    if let Some(d) = self.delta.as_mut() {
-                        d.support[q].clear();
-                        d.support[q].push(q as u32);
-                    }
                 }
-            }
-            if let Some(d) = self.delta.as_mut() {
-                d.log[q].clear();
-                d.epoch[q] += 1;
             }
             self.procs.state[q] = PState::Ready;
             self.procs.now[q] = resume;
@@ -1357,49 +1463,6 @@ impl<'a> Engine<'a> {
         });
         self.note_time(resume);
     }
-}
-
-/// Builds a delta payload for a send by process `p`: the components
-/// changed since the channel's log cursor (`Some(pos)`), deduplicated
-/// via the pass-stamped scratch array, plus the own component
-/// unconditionally. A `None` cursor (fresh channel, or a cursor from a
-/// pre-rollback log epoch) — or a log suffix longer than the clock —
-/// falls back to the full support set, which is always a superset of
-/// any delta and therefore always correct under max-merge.
-fn collect_payload(
-    d: &mut DeltaState,
-    vc: &VectorClock,
-    p: usize,
-    cursor: Option<usize>,
-) -> Box<[(u32, u64)]> {
-    let slice = vc.components();
-    d.scratch.clear();
-    let full = match cursor {
-        None => true,
-        Some(pos) => d.log[p].len() - pos > slice.len(),
-    };
-    if full {
-        for &i in &d.support[p] {
-            let v = slice[i as usize];
-            if v > 0 {
-                d.scratch.push((i, v));
-            }
-        }
-    } else {
-        let pos = cursor.expect("non-full implies a cursor");
-        d.seen_pass += 1;
-        let pass = d.seen_pass;
-        d.seen[p] = pass;
-        d.scratch.push((p as u32, slice[p]));
-        for &i in &d.log[p][pos..] {
-            if d.seen[i as usize] != pass {
-                d.seen[i as usize] = pass;
-                d.scratch.push((i, slice[i as usize]));
-            }
-        }
-    }
-    d.scratch.sort_unstable_by_key(|&(i, _)| i);
-    d.scratch.as_slice().into()
 }
 
 #[cfg(test)]

@@ -65,6 +65,12 @@ pub struct SimObs {
     /// count rather than n² — the regression guard for the old eager
     /// `inbox[n][n]` allocation.
     pub inbox_channels: u64,
+    /// Vector-clock entries piggybacked on application sends (a
+    /// redelivery after rollback carries its original payload and is
+    /// not counted again): `n` per send in dense mode, the O(Δ) payload
+    /// sizes in delta mode — the transport-volume guard for the
+    /// delta encoding.
+    pub piggyback_entries: u64,
     /// Per-process simulated-time totals.
     pub per_proc: Vec<ProcObs>,
     /// Queue depth, systematically sampled at every 8th event pop
@@ -156,6 +162,7 @@ impl SimObs {
         acfc_obs::count("sim/run_ahead_hits", self.run_ahead_hits);
         acfc_obs::count("sim/messages_delivered", self.messages_delivered);
         acfc_obs::count("sim/inbox_channels", self.inbox_channels);
+        acfc_obs::count("sim/piggyback_entries", self.piggyback_entries);
         for t in &self.per_proc {
             acfc_obs::count("sim/compute_us", t.compute_us);
             acfc_obs::count("sim/blocked_us", t.blocked_us);
