@@ -3,8 +3,9 @@
 //! Three stores, one contract (commit visibility is all-or-nothing,
 //! crash during commit leaves the previous committed set intact):
 //!
-//! * [`InMemoryBackend`] — a plain map; the fastest option and the
-//!   reference the durable backends are differential-tested against.
+//! * [`InMemoryBackend`] — a plain map, defined next to the trait in
+//!   `acfc_sim::backend` and re-exported here; the fastest option and
+//!   the reference the durable backends are differential-tested against.
 //! * [`FileBackend`] — one file per checkpoint under
 //!   `<dir>/p<rank>/`, written as tmp-file + CRC32 frame + atomic
 //!   rename, so a torn write can never be observed under the committed
@@ -23,6 +24,7 @@
 //! Performance: < 120 µs for a 96 KiB snapshot on tmpfs, `crc32`
 //! ≥ 1 GB/s (DESIGN §9 has the per-stage table).
 
+pub use acfc_sim::InMemoryBackend;
 use acfc_sim::{BackendError, StateBackend, StateSnapshot};
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, Write};
@@ -108,46 +110,6 @@ pub enum CrashPoint {
     /// it becomes visible under the committed name (before the rename,
     /// or before the log index accepts the frame).
     BeforeCommit,
-}
-
-/// The all-in-memory backend (`"mem"`): no durability, full speed.
-#[derive(Debug, Default)]
-pub struct InMemoryBackend {
-    committed: BTreeMap<(usize, u64), StateSnapshot>,
-}
-
-impl InMemoryBackend {
-    /// An empty backend.
-    pub fn new() -> InMemoryBackend {
-        InMemoryBackend::default()
-    }
-}
-
-impl StateBackend for InMemoryBackend {
-    fn name(&self) -> &'static str {
-        "mem"
-    }
-
-    fn commit(&mut self, snap: &StateSnapshot) -> Result<(), BackendError> {
-        self.committed.insert((snap.proc, snap.seq), snap.clone());
-        Ok(())
-    }
-
-    fn load(&mut self, proc: usize, seq: u64) -> Result<StateSnapshot, BackendError> {
-        self.committed
-            .get(&(proc, seq))
-            .cloned()
-            .ok_or(BackendError::Missing { proc, seq })
-    }
-
-    fn committed(&mut self) -> Result<Vec<(usize, u64)>, BackendError> {
-        Ok(self.committed.keys().copied().collect())
-    }
-
-    fn discard_after(&mut self, proc: usize, seq: u64) -> Result<(), BackendError> {
-        self.committed.retain(|&(p, s), _| p != proc || s <= seq);
-        Ok(())
-    }
 }
 
 /// Bytes of a frame before its payload: `len u64 | crc u32`.

@@ -12,23 +12,27 @@
 //! the kill/recover tests drive exactly that.
 //!
 //! Recovery is stop-the-world and *backend-driven*: when a worker
-//! crashes, every worker winds down, the controller reads the committed
-//! snapshot set back out of the [`StateBackend`] (nothing is recovered
-//! from worker memory — the dead thread's state is gone), picks the
-//! recovery line with the coordinator's [`CutPicker`], re-injects the
-//! messages that were in transit at the cut from the sender-side send
-//! log, and respawns all workers from the restored states. Messages a
-//! rolled-back send produced are dropped; messages received after the
-//! cut are re-delivered — the same orphan/in-transit classification the
-//! simulator's rollback performs, driven by the same per-process step
-//! numbers.
+//! crashes, every worker winds down and the controller reads the
+//! committed snapshot set back out of the [`StateBackend`] (nothing is
+//! recovered from worker memory — the dead thread's state is gone).
+//! Records built from the loaded snapshots, together with the send log
+//! (which holds the same [`MessageRecord`]s the engine's trace does),
+//! go through the engine's own [`rollback`]: the same picker, the same
+//! orphan/in-transit classification by per-process step numbers, the
+//! same lost-work sum. What stays here is the restore — every worker
+//! from the loaded snapshot of its restored checkpoint — and the
+//! re-injection: the in-transit messages become packets preloaded into
+//! the next round's channels before the workers respawn. A store that
+//! cannot list, load or discard ends the run with a runtime error.
 
 use crate::coordinator::CheckpointCoordinator;
 use crate::report::{trigger_name, RunEvent, RunReport};
 use acfc_mpsl::StmtId;
-use acfc_sim::backend::{SlotNames, SlotSnapshot, SlotState, StateBackend, StateSnapshot};
+use acfc_sim::backend::{
+    BackendError, SlotNames, SlotSnapshot, SlotState, StateBackend, StateSnapshot,
+};
 use acfc_sim::bytecode::Compiled;
-use acfc_sim::failure::RecoveryView;
+use acfc_sim::failure::rollback;
 use acfc_sim::step::{Step, Stepper};
 use acfc_sim::trace::{CheckpointRecord, CkptTrigger, MessageRecord, MsgId, Outcome};
 use acfc_sim::{
@@ -129,41 +133,27 @@ impl Default for FreeConfig {
     }
 }
 
-/// One wire message between workers. Clocks travel dense (`n` is small
-/// in free mode — real threads, not simulated ranks).
+/// One wire message between workers.
 struct Packet {
     from: usize,
     /// Index into the shared send log.
     idx: usize,
-    vc: Vec<u64>,
+    /// The sender's clock at the send.
+    vc: VectorClock,
     piggyback: u64,
     bits: u64,
     sent_at: u64,
-}
-
-/// Sender-side log entry: everything recovery needs to classify the
-/// message against a cut and re-inject it if it was in transit.
-struct SentMsg {
-    from: usize,
-    to: usize,
-    bits: u64,
-    stmt: StmtId,
-    send_step: u64,
-    send_vc: Vec<u64>,
-    piggyback: u64,
-    sent_at: u64,
-    recv_step: Option<u64>,
-    rolled_back: bool,
 }
 
 struct Shared<'a> {
-    compiled: &'a Compiled,
     config: &'a SimConfig,
     /// The variable slot table in name order.
     names: SlotNames,
     coord: Mutex<&'a mut dyn CheckpointCoordinator>,
     backend: Mutex<&'a mut (dyn StateBackend + Send)>,
-    log: Mutex<Vec<SentMsg>>,
+    /// Every message sent, rolled-back ones included: what recovery
+    /// classifies against the cut and re-injects from.
+    log: Mutex<Vec<MessageRecord>>,
     events: Mutex<Vec<RunEvent>>,
     /// Virtual commit time of each `(proc, seq)` — lost-work accounting
     /// (the portable snapshot itself carries no clock).
@@ -200,6 +190,39 @@ struct WorkerState {
     executed: u64,
     now: u64,
     halted: bool,
+}
+
+impl WorkerState {
+    /// Restores this worker from a loaded snapshot. A snapshot naming a
+    /// variable or statement the program lacks is corrupt.
+    fn restore(&mut self, s: &StateSnapshot, names: &SlotNames) -> Result<(), BackendError> {
+        let corrupt = |what: String| BackendError::Corrupt(format!("process {}: {what}", s.proc));
+        self.pc = s.pc;
+        self.vars.fill(0);
+        self.bound.fill(false);
+        for (name, v) in &s.vars {
+            let slot = names
+                .slot_of(name)
+                .ok_or_else(|| corrupt(format!("unknown variable `{name}`")))?;
+            self.vars[slot] = *v;
+            self.bound[slot] = true;
+        }
+        // Dense, mutable clock (from_entries alone yields an immutable
+        // sparse stamp unfit for tick/merge).
+        self.vc = VectorClock::new(s.nprocs);
+        self.vc
+            .merge(&VectorClock::from_entries(s.nprocs, s.vc.iter().copied()));
+        self.ckpt_seq = s.seq;
+        self.insts.fill(0);
+        for &(sid, c) in &s.stmt_instances {
+            *self
+                .insts
+                .get_mut(sid as usize)
+                .ok_or_else(|| corrupt(format!("unknown statement {sid}")))? = c;
+        }
+        self.step = s.step;
+        Ok(())
+    }
 }
 
 struct Worker<'s, 'a> {
@@ -311,28 +334,33 @@ impl Worker<'_, '_> {
             )
         };
         let sent_at = self.st.now + self.shared.config.cost.send_overhead_us;
-        let vc: Vec<u64> = self.st.vc.components().to_vec();
         let idx = {
             let mut log = self.shared.log.lock().unwrap();
-            log.push(SentMsg {
+            let idx = log.len();
+            log.push(MessageRecord {
+                id: MsgId(idx as u64),
                 from: rank,
                 to,
-                bits,
-                stmt,
+                size_bits: bits,
+                send_stmt: stmt,
+                sent_at: SimTime::from_micros(sent_at),
+                send_vc: self.st.vc.clone(),
                 send_step: self.st.step,
-                send_vc: vc.clone(),
                 piggyback,
-                sent_at,
+                delivered_at: None,
+                recv_at: None,
+                recv_vc: None,
                 recv_step: None,
+                recv_stmt: None,
                 rolled_back: false,
             });
-            log.len() - 1
+            idx
         };
         // A closed channel means the run is already winding down.
         let _ = self.txs[to].send(Packet {
             from: rank,
             idx,
-            vc,
+            vc: self.st.vc.clone(),
             piggyback,
             bits,
             sent_at,
@@ -413,15 +441,7 @@ impl Worker<'_, '_> {
                 }
             }
         }
-        let n = self.shared.config.nprocs;
-        let sender_vc = VectorClock::from_entries(
-            n,
-            p.vc.iter()
-                .enumerate()
-                .filter(|&(_, &v)| v > 0)
-                .map(|(i, &v)| (i as u32, v)),
-        );
-        self.st.vc.merge(&sender_vc);
+        self.st.vc.merge(&p.vc);
         self.st.vc.tick(rank);
         self.st.step += 1;
         // Virtual arrival: the message cannot be seen before it spent
@@ -552,7 +572,6 @@ pub fn run_free(
         .collect();
 
     let shared = Shared {
-        compiled,
         config,
         names: SlotNames::new(compiled.var_names.clone()),
         coord: Mutex::new(coordinator),
@@ -650,7 +669,13 @@ pub fn run_free(
                 proc: victim,
                 vtime_us: at,
             });
-            preload = recover(&shared, &picker, &mut states, victim, at);
+            match recover(&shared, &picker, &mut states, victim, at) {
+                Ok(packets) => preload = packets,
+                Err(o) => {
+                    outcome = o;
+                    break;
+                }
+            }
             continue;
         }
         if states.iter().all(|s| s.halted) {
@@ -688,141 +713,65 @@ pub fn run_free(
     .framed(messages, failures)
 }
 
-/// Stop-the-world recovery: rebuilds the recovery view *from the
-/// backend's committed set* and the send log, picks the cut, restores
-/// every worker state from loaded snapshots, and returns the in-transit
-/// packets to re-inject into the next round's channels.
+/// Stop-the-world recovery: rolls back over records built from the
+/// store's committed set and over the send log ([`rollback`]), restores
+/// every worker from the loaded snapshot of its restored checkpoint, and
+/// returns the in-transit packets to re-inject into the next round's
+/// channels. A failing store ends the run with the returned outcome.
 fn recover(
     shared: &Shared<'_>,
     picker: &CutPicker,
     states: &mut [WorkerState],
     victim: usize,
     at: u64,
-) -> Vec<Packet> {
+) -> Result<Vec<Packet>, Outcome> {
     let n = shared.config.nprocs;
+    let load_err = |e: BackendError| Outcome::RuntimeError(victim, format!("backend load: {e}"));
     let mut backend = shared.backend.lock().unwrap();
-    let committed = backend
+    let loaded: Vec<StateSnapshot> = backend
         .committed()
-        .expect("backend enumerates committed snapshots");
-    // Materialise committed snapshots as checkpoint records so the
-    // simulator-side pickers (which consume `RecoveryView`) apply
-    // unchanged. Times are not persisted — pickers never read them.
-    let loaded: Vec<StateSnapshot> = committed
-        .iter()
-        .map(|&(p, seq)| backend.load(p, seq).expect("committed snapshot loads"))
-        .collect();
-    let records: Vec<CheckpointRecord> = loaded
-        .iter()
-        .map(|s| {
-            let snapshot = s.to_snapshot();
-            CheckpointRecord {
-                proc: s.proc,
-                seq: s.seq,
-                stmt: None,
-                instance: 0,
-                label: s.label.as_deref().map(Into::into),
-                trigger: s.trigger,
-                start: SimTime::ZERO,
-                durable_at: SimTime::ZERO,
-                vc: snapshot.vc.clone(),
-                step: s.step,
-                snapshot,
-                rolled_back: false,
-            }
-        })
-        .collect();
-    let mut live: Vec<Vec<&CheckpointRecord>> = vec![Vec::new(); n];
-    for r in &records {
-        live[r.proc].push(r);
-    }
-    let log = shared.log.lock().unwrap();
-    let messages: Vec<MessageRecord> = log
-        .iter()
-        .enumerate()
-        .map(|(i, m)| MessageRecord {
-            id: MsgId(i as u64),
-            from: m.from,
-            to: m.to,
-            size_bits: m.bits,
-            send_stmt: m.stmt,
-            sent_at: SimTime::from_micros(m.sent_at),
-            send_vc: VectorClock::from_entries(
-                n,
-                m.send_vc
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v > 0)
-                    .map(|(i, &v)| (i as u32, v)),
-            ),
-            send_step: m.send_step,
-            piggyback: m.piggyback,
-            delivered_at: None,
-            recv_at: None,
-            recv_vc: None,
-            recv_step: m.recv_step,
-            recv_stmt: None,
-            rolled_back: m.rolled_back,
-        })
-        .collect();
-    drop(log);
-    let view = RecoveryView {
-        live: &live,
-        messages: &messages,
-    };
-    let picked = picker.pick(&view);
-    let cut_step: Vec<u64> = (0..n)
-        .map(|q| {
-            picked[q]
-                .and_then(|seq| loaded.iter().find(|s| s.proc == q && s.seq == seq))
-                .map(|s| s.step)
-                .unwrap_or(0)
-        })
-        .collect();
-    for q in 0..n {
-        assert!(
-            picked[q].is_none() || cut_step[q] > 0,
-            "picker chose a seq the backend does not hold for proc {q}"
-        );
-    }
-    // Lost work: virtual time since each worker's restored checkpoint.
+        .map_err(load_err)?
+        .into_iter()
+        .map(|(p, seq)| backend.load(p, seq))
+        .collect::<Result<_, _>>()
+        .map_err(load_err)?;
+    // The portable snapshot carries no clock: `start` is the virtual
+    // time this run committed it at, so lost work is the engine's sum.
     let times = shared.ckpt_times.lock().unwrap();
-    let lost_us: u64 = (0..n)
-        .map(|q| {
-            let back_to = picked[q]
-                .and_then(|seq| times.get(&(q, seq)).copied())
-                .unwrap_or(0);
-            states[q].now.saturating_sub(back_to)
-        })
-        .sum();
+    let mut records = Vec::with_capacity(loaded.len());
+    for s in &loaded {
+        if s.proc >= n || s.nprocs != n {
+            let e = format!(
+                "snapshot of process {} of {} in a run of {n}",
+                s.proc, s.nprocs
+            );
+            return Err(load_err(BackendError::Corrupt(e)));
+        }
+        let snapshot = s.to_snapshot();
+        records.push(CheckpointRecord {
+            proc: s.proc,
+            seq: s.seq,
+            stmt: None,
+            instance: 0,
+            label: s.label.as_deref().map(Into::into),
+            trigger: s.trigger,
+            start: SimTime::from_micros(times.get(&(s.proc, s.seq)).copied().unwrap_or(0)),
+            durable_at: SimTime::ZERO,
+            vc: snapshot.vc.clone(),
+            step: s.step,
+            snapshot,
+            rolled_back: false,
+        });
+    }
     drop(times);
-    // The backend keeps only the cut and earlier.
-    for (q, p) in picked.iter().enumerate() {
-        backend
-            .discard_after(q, p.unwrap_or(0))
-            .expect("backend discards rolled-back snapshots");
-    }
-    drop(backend);
-    // Classify the log against the cut; in-transit messages become next
-    // round's preloaded packets, FIFO per sender.
+    let now: Vec<SimTime> = states.iter().map(|s| SimTime::from_micros(s.now)).collect();
     let mut log = shared.log.lock().unwrap();
-    let mut intransit: Vec<usize> = Vec::new();
-    for (i, m) in log.iter_mut().enumerate() {
-        if m.rolled_back {
-            continue;
-        }
-        if m.send_step > cut_step[m.from] {
-            m.rolled_back = true;
-            continue;
-        }
-        let received_before_cut = m.recv_step.is_some_and(|rs| rs <= cut_step[m.to]);
-        if !received_before_cut {
-            m.recv_step = None;
-            intransit.push(i);
-        }
-    }
-    intransit.sort_by_key(|&i| (log[i].from, log[i].send_step));
+    let rb = rollback(picker, &mut records, &mut log, &now);
+    rb.discard_after(&mut **backend)?;
+    drop(backend);
     let resume = at + shared.config.cost.recovery_us;
-    let preload: Vec<Packet> = intransit
+    let preload: Vec<Packet> = rb
+        .in_transit
         .iter()
         .map(|&i| {
             let m = &log[i];
@@ -831,44 +780,16 @@ fn recover(
                 idx: i,
                 vc: m.send_vc.clone(),
                 piggyback: m.piggyback,
-                bits: m.bits,
+                bits: m.size_bits,
                 // Redelivery happens after the recovery pause.
                 sent_at: resume,
             }
         })
         .collect();
     drop(log);
-    // Restore every worker from the backend-loaded snapshot (or to the
-    // initial state when its line has no checkpoint).
-    let compiled = shared.compiled;
-    for q in 0..n {
-        let st = &mut states[q];
-        match picked[q].and_then(|seq| loaded.iter().find(|s| s.proc == q && s.seq == seq)) {
-            Some(s) => {
-                st.pc = s.pc;
-                st.vars.fill(0);
-                st.bound.fill(false);
-                for (name, v) in &s.vars {
-                    let slot = compiled
-                        .var_names
-                        .iter()
-                        .position(|x| x == name)
-                        .expect("snapshot variable exists in the program");
-                    st.vars[slot] = *v;
-                    st.bound[slot] = true;
-                }
-                // Dense, mutable clock (from_entries alone yields an
-                // immutable sparse stamp unfit for tick/merge).
-                let mut vc = VectorClock::new(n);
-                vc.merge(&VectorClock::from_entries(n, s.vc.iter().copied()));
-                st.vc = vc;
-                st.ckpt_seq = s.seq;
-                st.insts.fill(0);
-                for &(sid, c) in &s.stmt_instances {
-                    st.insts[sid as usize] = c;
-                }
-                st.step = s.step;
-            }
+    for (st, restored) in states.iter_mut().zip(&rb.restored) {
+        match restored {
+            Some(i) => st.restore(&loaded[*i], &shared.names).map_err(load_err)?,
             None => {
                 st.pc = 0;
                 // Values reset to 0; binding state is untouched
@@ -886,9 +807,9 @@ fn recover(
     shared.event(RunEvent::Recovery {
         killed: victim,
         vtime_us: resume,
-        restored: picked,
+        restored: rb.picked,
         redelivered: preload.len(),
-        lost_us,
+        lost_us: rb.lost_us,
     });
-    preload
+    Ok(preload)
 }

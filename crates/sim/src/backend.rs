@@ -4,12 +4,11 @@
 //! the offline analysis and the golden pins consume); a
 //! [`StateBackend`] is the complementary *durability* surface — where a
 //! snapshot goes so a process can be restored from it after a real
-//! crash. The simulator's own recording path is retrofitted as the
-//! [`SimBackend`] implementation (attach one with
-//! [`run_with_backend`](crate::engine::run_with_backend)); the real
-//! runtime crate implements file-per-checkpoint and log-structured
-//! backends over the same trait, so the simulator and the live workers
-//! persist byte-identical [`StateSnapshot`] payloads.
+//! crash. [`InMemoryBackend`] is the plain-map implementation (attach
+//! any store with [`run_with_backend`](crate::engine::run_with_backend));
+//! the real runtime crate implements file-per-checkpoint and
+//! log-structured backends over the same trait, so the simulator and
+//! the live workers persist byte-identical [`StateSnapshot`] payloads.
 //!
 //! [`StateSnapshot`] is deliberately *portable*: plain owned pairs
 //! instead of the engine's slot-interned [`VarStore`] and dense
@@ -360,6 +359,14 @@ impl SlotNames {
             .filter(|&s| bound[s])
     }
 
+    /// The slot holding variable `name`, if the program has one.
+    pub fn slot_of(&self, name: &str) -> Option<usize> {
+        self.by_name
+            .binary_search_by(|&s| self.names[s as usize].as_str().cmp(name))
+            .ok()
+            .map(|i| self.by_name[i] as usize)
+    }
+
     /// The bound `(name, value)` pairs of one slot row, sorted by name.
     pub fn bound_pairs(&self, values: &[i64], bound: &[bool]) -> Vec<(String, i64)> {
         self.bound_slots(bound)
@@ -480,8 +487,8 @@ impl SlotSnapshot {
 /// [`commit`]: StateBackend::commit
 /// [`load`]: StateBackend::load
 pub trait StateBackend {
-    /// Short stable identifier (`"sim"`, `"mem"`, `"file"`, `"log"`)
-    /// for reports and CLI selection.
+    /// Short stable identifier (`"mem"`, `"file"`, `"log"`) for reports
+    /// and CLI selection.
     fn name(&self) -> &'static str;
 
     /// Durably commits one snapshot. Committing the same `(proc, seq)`
@@ -511,42 +518,24 @@ pub trait StateBackend {
     fn discard_after(&mut self, proc: usize, seq: u64) -> Result<(), BackendError>;
 }
 
-/// The simulator's own recording path as a [`StateBackend`]: an
-/// in-memory committed set mirroring what the engine's trace calls
-/// "live checkpoints". Attach with
-/// [`run_with_backend`](crate::engine::run_with_backend); also the
-/// reference implementation the durable backends are differential-
-/// tested against.
+/// The all-in-memory store (`"mem"`): a plain map with no durability,
+/// the fastest option and the reference the durable stores are
+/// differential-tested against.
 #[derive(Debug, Default)]
-pub struct SimBackend {
+pub struct InMemoryBackend {
     committed: std::collections::BTreeMap<(usize, u64), StateSnapshot>,
 }
 
-impl SimBackend {
+impl InMemoryBackend {
     /// An empty backend.
-    pub fn new() -> SimBackend {
-        SimBackend::default()
-    }
-
-    /// Number of committed snapshots.
-    pub fn len(&self) -> usize {
-        self.committed.len()
-    }
-
-    /// `true` when nothing is committed.
-    pub fn is_empty(&self) -> bool {
-        self.committed.is_empty()
-    }
-
-    /// Iterates the committed snapshots in `(proc, seq)` order.
-    pub fn snapshots(&self) -> impl Iterator<Item = &StateSnapshot> {
-        self.committed.values()
+    pub fn new() -> InMemoryBackend {
+        InMemoryBackend::default()
     }
 }
 
-impl StateBackend for SimBackend {
+impl StateBackend for InMemoryBackend {
     fn name(&self) -> &'static str {
-        "sim"
+        "mem"
     }
 
     fn commit(&mut self, snap: &StateSnapshot) -> Result<(), BackendError> {
@@ -647,6 +636,11 @@ mod tests {
     fn slot_snapshot_tracks_the_binding_row() {
         let names = SlotNames::new(["zeta", "b", "alpha", "m"].map(String::from).into());
         assert_eq!(*names.by_name, [2, 1, 3, 0]);
+        let slots = ["alpha", "b", "m", "zeta", "a", "n", "zz"].map(|v| names.slot_of(v));
+        assert_eq!(
+            slots,
+            [Some(2), Some(1), Some(3), Some(0), None, None, None]
+        );
         let mut port = SlotSnapshot::new(names, 1, 3);
         let vc = VectorClock::from_entries(3, [(1, 4)]);
         let mut state = SlotState {
@@ -740,7 +734,7 @@ mod tests {
     fn sim_backend_mirrors_live_checkpoints() {
         let compiled = crate::bytecode::compile(&programs::jacobi(5));
         let mut hooks = NoHooks;
-        let mut backend = SimBackend::new();
+        let mut backend = InMemoryBackend::new();
         let (trace, log) = run_with_backend(
             &compiled,
             &SimConfig::new(4),
@@ -789,7 +783,7 @@ mod tests {
     fn rollback_discards_from_backend_too() {
         let compiled = crate::bytecode::compile(&programs::jacobi(6));
         let mut hooks = NoHooks;
-        let mut backend = SimBackend::new();
+        let mut backend = InMemoryBackend::new();
         let (trace, log) = run_with_backend(
             &compiled,
             &SimConfig::new(4),
@@ -826,7 +820,7 @@ mod tests {
 
     #[test]
     fn discard_after_zero_clears_a_process() {
-        let mut b = SimBackend::new();
+        let mut b = InMemoryBackend::new();
         for seq in 1..=3 {
             b.commit(&StateSnapshot {
                 seq,

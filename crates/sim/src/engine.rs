@@ -1267,89 +1267,22 @@ impl<'a> Engine<'a> {
         }
         self.metrics.failures += 1;
         let nprocs = self.config.nprocs;
-        // The recovery view borrows the checkpoint records in place —
-        // no per-failure cloning of snapshots.
-        let mut live: Vec<Vec<&CheckpointRecord>> = vec![Vec::new(); nprocs];
-        for c in &self.checkpoints {
-            if !c.rolled_back {
-                live[c.proc].push(c);
-            }
-        }
-        let view = crate::failure::RecoveryView {
-            live: &live,
-            messages: &self.messages,
-        };
-        let picked = self.picker.pick(&view);
-        let latest_seq: Vec<u64> = live
-            .iter()
-            .map(|v| v.last().map(|c| c.seq).unwrap_or(0))
-            .collect();
-        drop(live);
-        // Cut positions (per-process step numbers) and the restored
-        // checkpoints, kept as indices so the records can be mutated
-        // (rollback marking) before the restore reads them back.
-        let mut cut_step = vec![0u64; nprocs];
-        let mut restored: Vec<Option<usize>> = vec![None; nprocs];
-        for (i, c) in self.checkpoints.iter().enumerate() {
-            if !c.rolled_back && picked[c.proc] == Some(c.seq) {
-                cut_step[c.proc] = c.snapshot.step;
-                restored[c.proc] = Some(i);
-            }
-        }
-        for q in 0..nprocs {
-            assert!(
-                picked[q].is_none() || restored[q].is_some(),
-                "picker chose missing seq {:?} for proc {q}",
-                picked[q]
-            );
-        }
-        // Lost work accounting.
-        let mut lost_us = 0u64;
-        #[allow(clippy::needless_range_loop)]
-        for q in 0..nprocs {
-            let back_to = restored[q]
-                .map(|i| self.checkpoints[i].start)
-                .unwrap_or(SimTime::ZERO);
-            lost_us += self.procs.now[q].saturating_sub(back_to).as_micros();
-        }
-        // Mark rolled-back records.
-        for c in &mut self.checkpoints {
-            if !c.rolled_back && c.step > cut_step[c.proc] {
-                c.rolled_back = true;
-            }
-        }
-        // The backend's committed set tracks the live checkpoints.
+        // The rollback `run_free` performs too; what follows it is the
+        // engine's own: the store, the channels, re-scheduling, and the
+        // restore from the trace's snapshots.
+        let rb = crate::failure::rollback(
+            &self.picker,
+            &mut self.checkpoints,
+            &mut self.messages,
+            &self.procs.now,
+        );
         if let Some(d) = self.backend.as_mut() {
-            for (q, p) in picked.iter().enumerate() {
-                if let Err(e) = d.store.discard_after(q, p.unwrap_or(0)) {
-                    self.outcome
-                        .get_or_insert(Outcome::RuntimeError(q, format!("backend discard: {e}")));
-                }
+            if let Err(o) = rb.discard_after(d.store) {
+                self.outcome.get_or_insert(o);
             }
         }
         let resume = t + self.config.cost.recovery_us;
         self.metrics.recovery_us += self.config.cost.recovery_us * self.config.nprocs as u64;
-        let mut redeliveries: Vec<(usize, SimTime)> = Vec::new();
-        for (i, m) in self.messages.iter_mut().enumerate() {
-            if m.rolled_back {
-                continue;
-            }
-            if m.send_step > cut_step[m.from] {
-                // The send is undone.
-                m.rolled_back = true;
-                continue;
-            }
-            let received_before_cut = m.recv_step.is_some_and(|rs| rs <= cut_step[m.to]);
-            if !received_before_cut {
-                // In transit at the cut: will be re-delivered.
-                m.delivered_at = None;
-                m.recv_at = None;
-                m.recv_vc = None;
-                m.recv_step = None;
-                m.recv_stmt = None;
-                redeliveries.push((i, resume));
-            }
-        }
         // Clear channel state: every live flight slot is cancelled
         // (bumping its generation, which invalidates any scheduled
         // arrival), inbox FIFOs are unlinked, and the sender-side
@@ -1374,9 +1307,7 @@ impl<'a> Engine<'a> {
         }
         // Re-schedule in-flight deliveries (fresh jitter, FIFO per
         // channel preserved by delivery-time monotonicity below).
-        redeliveries.sort_by_key(|&(i, _)| (self.messages[i].from, self.messages[i].send_step));
-        let redelivered = redeliveries.len();
-        for (i, at) in redeliveries {
+        for &i in &rb.in_transit {
             let m = &self.messages[i];
             let (from, to, bits) = (m.from, m.to, m.size_bits);
             let jitter = if self.config.net.jitter_us > 0 {
@@ -1387,7 +1318,7 @@ impl<'a> Engine<'a> {
             let ci = self.out_chan(from, to);
             let chan = &mut self.out[from][ci];
             let deliver_at = SimTime(
-                (at.as_micros() + self.config.net.base_delay_us(bits) + jitter)
+                (resume.as_micros() + self.config.net.base_delay_us(bits) + jitter)
                     .max(chan.last.as_micros()),
             );
             chan.last = deliver_at;
@@ -1405,7 +1336,7 @@ impl<'a> Engine<'a> {
             self.epochs[q] += 1;
             let base = q * self.procs.nslots;
             let nslots = self.procs.nslots;
-            match restored[q] {
+            match rb.restored[q] {
                 Some(i) => {
                     let snap = &self.checkpoints[i].snapshot;
                     self.procs.pc[q] = snap.pc;
@@ -1449,17 +1380,17 @@ impl<'a> Engine<'a> {
             d.log.events.push(RunEvent::Recovery {
                 killed: p,
                 vtime_us: resume.as_micros(),
-                restored: picked.clone(),
-                redelivered,
-                lost_us,
+                restored: rb.picked.clone(),
+                redelivered: rb.in_transit.len(),
+                lost_us: rb.lost_us,
             });
         }
         self.failures.push(FailureRecord {
             proc: p,
             at: t,
-            restored_seq: picked,
-            latest_seq,
-            lost_us,
+            restored_seq: rb.picked,
+            latest_seq: rb.latest_seq,
+            lost_us: rb.lost_us,
         });
         self.note_time(resume);
     }

@@ -1,14 +1,20 @@
-//! Failure injection and recovery-line selection.
+//! Failure injection, recovery-line selection and the rollback itself.
 //!
 //! Failures follow the paper's model (§4): each process fails
 //! independently with an exponentially distributed time-to-failure of
-//! rate `λ`. On a failure the engine performs a *coordinated rollback*:
-//! every process is restored to the checkpoint chosen by a
-//! [`CutPicker`], in-transit messages at the cut are re-delivered, and
-//! everyone resumes after the recovery overhead `R`.
+//! rate `λ`. On a failure every scheduler performs one *coordinated
+//! rollback*, written once here as [`rollback`]: every process is
+//! restored to the checkpoint chosen by a [`CutPicker`], sends the
+//! line orphans are undone, in-transit messages at the cut are
+//! re-delivered, and everyone resumes after the recovery overhead `R`.
+//! The engine feeds it the records of its trace; the free-running
+//! runtime feeds it records built from the snapshots it loads back out
+//! of its store, and its send log. Each then restores processes from
+//! its own source and re-injects the returned messages its own way.
 
+use crate::backend::StateBackend;
 use crate::time::SimTime;
-use crate::trace::{CheckpointRecord, MessageRecord};
+use crate::trace::{CheckpointRecord, MessageRecord, Outcome};
 use acfc_util::rng::Rng;
 
 /// A schedule of failures to inject: `(time, process)` pairs.
@@ -78,9 +84,11 @@ impl FailurePlan {
     }
 }
 
-/// What a recovery-line picker sees at failure time. The checkpoint
-/// records are borrowed from the engine's trace in place (building a
-/// view is O(checkpoints) pointer pushes, not a deep copy).
+/// What a recovery-line picker sees at failure time: the live
+/// checkpoint records and every message record. [`rollback`] borrows
+/// both in place (building a view is O(checkpoints) pointer pushes, not
+/// a deep copy) from whatever its caller holds — the engine's trace, or
+/// the free-running runtime's loaded snapshots and send log.
 #[derive(Debug)]
 pub struct RecoveryView<'t> {
     /// Live checkpoints per process, in `seq` order.
@@ -140,6 +148,136 @@ impl CutPicker {
                 picked
             }
         }
+    }
+}
+
+/// What one coordinated [`rollback`] decided.
+#[derive(Debug)]
+pub struct Rollback {
+    /// The recovery line: per process, the restored checkpoint `seq`
+    /// (`None` = initial state).
+    pub picked: Vec<Option<u64>>,
+    /// Each process's latest live checkpoint `seq` before the rollback
+    /// (`0` = none).
+    pub latest_seq: Vec<u64>,
+    /// Per process, the index of the restored record in the checkpoint
+    /// slice [`rollback`] was given (`None` = initial state).
+    pub restored: Vec<Option<usize>>,
+    /// Virtual time charged since each restored checkpoint began,
+    /// summed over processes (µs) — see
+    /// [`FailureRecord::lost_us`](crate::trace::FailureRecord::lost_us).
+    pub lost_us: u64,
+    /// Indices of the messages in transit at the cut, in
+    /// `(sender, send step)` order, so re-delivering them in this order
+    /// keeps every channel FIFO.
+    pub in_transit: Vec<usize>,
+}
+
+impl Rollback {
+    /// Drops every committed snapshot past the line from `store`, so its
+    /// committed set keeps tracking the live checkpoints. Every process
+    /// is tried; the first failure comes back as the run's outcome.
+    pub fn discard_after(&self, store: &mut dyn StateBackend) -> Result<(), Outcome> {
+        let mut first = Ok(());
+        for (q, p) in self.picked.iter().enumerate() {
+            if let Err(e) = store.discard_after(q, p.unwrap_or(0)) {
+                first = first.and(Err(Outcome::RuntimeError(
+                    q,
+                    format!("backend discard: {e}"),
+                )));
+            }
+        }
+        first
+    }
+}
+
+/// The coordinated rollback every scheduler performs on a failure:
+/// picks the recovery line over the live `checkpoints` and `messages`,
+/// marks the checkpoints past it and the sends it orphans (sent after
+/// the sender's cut) as rolled back, and clears the receive fields of
+/// every message in transit at the cut (sent before the sender's cut,
+/// not received before the receiver's) so it can be delivered again.
+/// `now` holds each process's virtual time at the failure; its length
+/// is the process count.
+///
+/// # Panics
+///
+/// Panics if the picker names a `seq` that has no live record.
+pub fn rollback(
+    picker: &CutPicker,
+    checkpoints: &mut [CheckpointRecord],
+    messages: &mut [MessageRecord],
+    now: &[SimTime],
+) -> Rollback {
+    let nprocs = now.len();
+    let mut live: Vec<Vec<&CheckpointRecord>> = vec![Vec::new(); nprocs];
+    for c in checkpoints.iter() {
+        if !c.rolled_back {
+            live[c.proc].push(c);
+        }
+    }
+    let picked = picker.pick(&RecoveryView {
+        live: &live,
+        messages,
+    });
+    let latest_seq: Vec<u64> = live.iter().map(|v| v.last().map_or(0, |c| c.seq)).collect();
+    drop(live);
+    // Cut positions (per-process step numbers) and the restored
+    // records, kept as indices so the records can be marked below.
+    let mut cut_step = vec![0u64; nprocs];
+    let mut restored: Vec<Option<usize>> = vec![None; nprocs];
+    for (i, c) in checkpoints.iter().enumerate() {
+        if !c.rolled_back && picked[c.proc] == Some(c.seq) {
+            cut_step[c.proc] = c.step;
+            restored[c.proc] = Some(i);
+        }
+    }
+    for q in 0..nprocs {
+        assert!(
+            picked[q].is_none() || restored[q].is_some(),
+            "picker chose missing seq {:?} for proc {q}",
+            picked[q]
+        );
+    }
+    let lost_us = restored
+        .iter()
+        .zip(now)
+        .map(|(r, &t)| {
+            let back_to = r.map_or(SimTime::ZERO, |i| checkpoints[i].start);
+            t.saturating_sub(back_to).as_micros()
+        })
+        .sum();
+    for c in checkpoints.iter_mut() {
+        if !c.rolled_back && c.step > cut_step[c.proc] {
+            c.rolled_back = true;
+        }
+    }
+    let mut in_transit = Vec::new();
+    for (i, m) in messages.iter_mut().enumerate() {
+        if m.rolled_back {
+            continue;
+        }
+        if m.send_step > cut_step[m.from] {
+            m.rolled_back = true;
+            continue;
+        }
+        let received_before_cut = m.recv_step.is_some_and(|rs| rs <= cut_step[m.to]);
+        if !received_before_cut {
+            m.delivered_at = None;
+            m.recv_at = None;
+            m.recv_vc = None;
+            m.recv_step = None;
+            m.recv_stmt = None;
+            in_transit.push(i);
+        }
+    }
+    in_transit.sort_by_key(|&i| (messages[i].from, messages[i].send_step));
+    Rollback {
+        picked,
+        latest_seq,
+        restored,
+        lost_us,
+        in_transit,
     }
 }
 

@@ -61,7 +61,7 @@ pub mod step;
 pub mod time;
 pub mod trace;
 
-pub use backend::{BackendError, SimBackend, StateBackend, StateSnapshot};
+pub use backend::{BackendError, InMemoryBackend, StateBackend, StateSnapshot};
 pub use bytecode::{compile, Compiled};
 pub use clock::VectorClock;
 pub use config::{ClockMode, CostModel, NetworkModel, SimConfig, DENSE_CLOCK_MAX};

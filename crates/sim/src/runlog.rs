@@ -65,7 +65,10 @@ pub enum RunEvent {
         restored: Vec<Option<u64>>,
         /// In-transit messages re-delivered at the cut.
         redelivered: usize,
-        /// Work rolled back, summed over workers (µs).
+        /// Work rolled back, summed over workers (µs): virtual time
+        /// charged since each restored checkpoint began, a `compute`
+        /// already charged past the kill included — see
+        /// [`FailureRecord::lost_us`](crate::trace::FailureRecord::lost_us).
         lost_us: u64,
     },
     /// A worker halted normally.

@@ -291,8 +291,12 @@ pub struct FailureRecord {
     /// (`0` = none); `latest_seq[p] − restored_seq[p]` is the rollback
     /// depth.
     pub latest_seq: Vec<u64>,
-    /// Work lost, summed over processes (µs of simulated progress
-    /// between each restored checkpoint and the failure).
+    /// Work lost, summed over processes: the virtual time (µs) each
+    /// process had been charged since its restored checkpoint began
+    /// (since 0 for a restart from the initial state). A `compute` is
+    /// charged whole when it is issued, so one already under way at the
+    /// failure counts in full, past the failure included: a failure
+    /// 1 ms into four processes' `compute 2000` reports 8000 ms.
     pub lost_us: u64,
 }
 
