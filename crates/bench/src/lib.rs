@@ -3,27 +3,16 @@
 //! The binaries in `src/bin/` regenerate the paper's evaluation figures
 //! (Figure 8: overhead ratio vs. number of processes; Figure 9:
 //! overhead ratio vs. message setup time), and the wall-clock benches in
-//! `benches/` measure the cost of the library's own machinery. This
-//! library holds the pieces they share: canonical workloads, the
-//! simulator-vs-model validation runs, and plain-text rendering.
+//! `benches/` measure the model primitives and the analysis design
+//! choices. End-to-end performance is tracked by the standalone
+//! `benchmark/` crate, not here. This library holds the pieces the
+//! binaries share: the simulator-vs-model validation runs and
+//! plain-text rendering.
 
-use acfc_mpsl::{programs, Program};
+use acfc_mpsl::programs;
 use acfc_perfmodel::{ModelParams, Row};
 use acfc_protocols::{compare_all, CompareConfig, RunStats};
 use acfc_sim::FailurePlan;
-
-pub mod seed_baseline;
-
-/// The canonical workloads used across binaries and benches.
-pub fn workloads() -> Vec<Program> {
-    vec![
-        programs::jacobi(8),
-        programs::jacobi_odd_even(8),
-        programs::pipeline(8),
-        programs::stencil_1d(8),
-        programs::master_worker(4),
-    ]
-}
 
 /// Renders figure rows plus a short provenance header.
 pub fn render_figure(title: &str, x_label: &str, rows: &[Row]) -> String {
@@ -58,14 +47,6 @@ pub fn paper_params() -> ModelParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workloads_are_analyzable() {
-        for p in workloads() {
-            acfc_core::analyze(&p, &acfc_core::AnalysisConfig::for_nprocs(4))
-                .unwrap_or_else(|e| panic!("{}: {e}", p.name));
-        }
-    }
 
     #[test]
     fn render_figure_has_header() {

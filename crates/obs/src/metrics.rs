@@ -233,7 +233,7 @@ impl HistSnapshot {
     }
 
     /// The p50/p90/p99 bucket bounds in one struct — the shape every
-    /// dashboard column and `BENCH_*.json` field uses. Each value is a
+    /// dashboard column and sweep JSON field uses. Each value is a
     /// [`quantile_bound`](HistSnapshot::quantile_bound): the exclusive
     /// upper edge of the bucket holding that quantile, so it is within
     /// a factor of two of the exact order statistic (pinned by the

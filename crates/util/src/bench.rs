@@ -1,11 +1,12 @@
-//! Wall-clock timing harness and JSON emission for the perf artifacts.
+//! Wall-clock timing harness and a minimal JSON writer.
 //!
 //! Replaces the former `criterion` dev-dependency for the repo's
-//! purposes: each measurement warms up, then runs batches until both a
+//! purposes: [`bench`] warms up, then runs batches until both a
 //! minimum iteration count and a minimum wall time are reached, and
 //! reports the median per-iteration time over batches (robust to a
-//! stray slow batch). [`Json`] is a minimal object writer for the
-//! `BENCH_*.json` perf-trajectory files.
+//! stray slow batch); the `acfc-bench` benches print its samples.
+//! [`time_once`] times one macro run. [`Json`] is the insertion-ordered
+//! object writer behind the sweep and compare JSON / JSONL artifacts.
 
 use std::time::Instant;
 
@@ -99,9 +100,12 @@ impl Json {
     }
 
     /// Adds a numeric field (serialised with enough precision to
-    /// round-trip).
+    /// round-trip). JSON has no NaN or infinity, so a non-finite value
+    /// is written as `null`.
     pub fn num(mut self, key: &str, value: f64) -> Json {
-        let rendered = if value.fract() == 0.0 && value.abs() < 1e15 {
+        let rendered = if !value.is_finite() {
+            "null".to_string()
+        } else if value.fract() == 0.0 && value.abs() < 1e15 {
             format!("{}", value as i64)
         } else {
             format!("{value:.6}")
@@ -185,6 +189,20 @@ mod tests {
         assert!(text.contains("\"count\": 3,"));
         assert!(text.contains("\"ratio\": 0.500000"));
         assert!(text.contains("\"x\": 1"));
+    }
+
+    #[test]
+    fn json_writes_non_finite_numbers_as_null() {
+        let line = Json::new()
+            .num("nan", f64::NAN)
+            .num("inf", f64::INFINITY)
+            .num("neg_inf", f64::NEG_INFINITY)
+            .num("finite", 0.25)
+            .render_line();
+        assert_eq!(
+            line,
+            "{\"nan\":null,\"inf\":null,\"neg_inf\":null,\"finite\":0.250000}"
+        );
     }
 
     #[test]

@@ -234,6 +234,46 @@ fn compare_sweep_rows_are_identical_across_thread_counts() {
 }
 
 #[test]
+fn compare_artifacts_stay_valid_json_when_the_bare_makespan_is_zero() {
+    // An empty program finishes at t = 0, so every overhead ratio
+    // divides by a zero bare makespan.
+    let dir = std::env::temp_dir();
+    let program = dir.join("acfc_cli_empty.mpsl");
+    std::fs::write(&program, "program empty;\n").unwrap();
+    let json_path = dir.join("acfc_cli_empty.json");
+    let jsonl_path = dir.join("acfc_cli_empty.jsonl");
+    for args in [
+        vec!["--nprocs", "2", "--json", json_path.to_str().unwrap()],
+        vec![
+            "--sweep",
+            "--ns",
+            "2",
+            "--seeds",
+            "2",
+            "--jsonl",
+            jsonl_path.to_str().unwrap(),
+        ],
+    ] {
+        let mut argv = vec!["compare", program.to_str().unwrap()];
+        argv.extend(args);
+        let out = acfc(&argv);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    for path in [&json_path, &jsonl_path] {
+        let text = std::fs::read_to_string(path).expect("artifact written");
+        let bad = text
+            .split(|c: char| !c.is_ascii_alphanumeric())
+            .find(|token| matches!(*token, "NaN" | "inf"));
+        assert_eq!(bad, None, "{}: {text}", path.display());
+        assert!(text.contains("null"), "{}: {text}", path.display());
+    }
+}
+
+#[test]
 fn analyze_folded_writes_flamegraph_and_speedscope_files() {
     let folded_path = std::env::temp_dir().join("acfc_cli_analyze.folded");
     let out = acfc(&[
