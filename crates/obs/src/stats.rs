@@ -202,8 +202,12 @@ pub struct MedianCi {
 pub const BOOTSTRAP_RESAMPLES: u32 = 200;
 
 /// Per-resample draw cap. Resampling cost is `resamples × min(count,
-/// cap)`; capping turns the full bootstrap into an `m`-out-of-`n`
-/// bootstrap on huge pools, which only *widens* the interval.
+/// cap)` draws, each one splitmix64 step, one 64 × 128-bit multiply
+/// and one load from a 1 KiB bucket table, plus 1024 binary searches
+/// per call to build the table. No draw divides; only the few that land
+/// in a slot a bucket boundary crosses take a remainder and a search.
+/// Capping turns the full bootstrap into an `m`-out-of-`n` bootstrap
+/// on huge pools, which only *widens* the interval.
 pub const BOOTSTRAP_MAX_DRAWS: u64 = 4096;
 
 /// splitmix64 — a tiny local generator so the bootstrap stays inside
@@ -219,18 +223,35 @@ impl SplitMix {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
+}
 
-    /// Uniform draw in `[0, n)` by rejection (no modulo bias).
-    fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        let zone = u64::MAX - u64::MAX % n;
-        loop {
-            let x = self.next();
-            if x < zone {
-                return x % n;
-            }
+/// Top bits of a draw's position that index the bucket table.
+const SLOT_BITS: u32 = 10;
+
+/// Entries in the bucket table.
+const SLOTS: usize = 1 << SLOT_BITS;
+
+/// Bucket-table entry of a slot that a bucket boundary crosses: draws
+/// there fall back to the exact remainder and a search.
+const MIXED: u8 = u8::MAX;
+
+/// The bucket table of one bootstrap call over `cum`, the cumulative
+/// bucket counts (`total` is the last). Remainder `r` of a draw sits at
+/// `[r, r + 1) / total` in `[0, 1)`, and slot `s` covers
+/// `[s, s + 1) / SLOTS`; the slot's entry is the bucket of every
+/// remainder that reaches it, or [`MIXED`] when those span a boundary.
+fn slot_table(cum: &[u64], total: u64) -> [u8; SLOTS] {
+    let mut table = [MIXED; SLOTS];
+    for (s, slot) in table.iter_mut().enumerate() {
+        let first = ((s as u128 * total as u128) >> SLOT_BITS) as u64;
+        let last = (((s as u128 + 1) * total as u128 - 1) >> SLOT_BITS) as u64;
+        let b = cum.partition_point(|&c| c <= first);
+        if cum[b] > last {
+            // `MIXED` itself, or a bucket index past it, stays exact.
+            *slot = u8::try_from(b).unwrap_or(MIXED);
         }
     }
+    table
 }
 
 /// Median bound of a discrete sample given per-bucket tallies aligned
@@ -255,15 +276,21 @@ fn median_bound(bounds: &[u64], tally: &[u64], total: u64) -> u64 {
 /// `resamples`, and `seed` always produce the same interval, so sweep
 /// output stays byte-identical at any thread count.
 ///
+/// Each draw is a uniform remainder `r` in `[0, total)` by rejection
+/// (no modulo bias), and lands in the bucket whose cumulative-count
+/// range holds `r`. The remainder is never divided out: with
+/// `M = ⌈2^128 / total⌉`, the top bits of `M·x mod 2^128` are the
+/// position of `x mod total` in `[0, 1)` (Lemire, Kaser & Kurz, "Faster
+/// Remainder by Direct Computation", 2019), and a per-call table over
+/// those bits names the bucket; only a slot a bucket boundary crosses
+/// takes the exact `x % total` and a search.
+///
 /// Returns `None` when the snapshot is empty or `resamples` is 0.
 pub fn bootstrap_median_ci(
     snap: &crate::HistSnapshot,
     resamples: u32,
     seed: u64,
 ) -> Option<MedianCi> {
-    if snap.count == 0 || resamples == 0 {
-        return None;
-    }
     // The empirical distribution: per non-empty bucket, its upper
     // bound (quantile_bound convention) and cumulative count.
     let mut bounds = Vec::new();
@@ -276,16 +303,33 @@ pub fn bootstrap_median_ci(
             cum.push(seen);
         }
     }
-    let total = snap.count;
+    // Draw over the buckets themselves: the tallies index them. Every
+    // histogram's snapshot has `count` equal to this sum.
+    let total = seen;
+    if total == 0 || resamples == 0 {
+        return None;
+    }
     let draws = total.min(BOOTSTRAP_MAX_DRAWS);
+    let zone = u64::MAX - u64::MAX % total;
+    // ⌈2^128 / total⌉, which wraps to 0 ≡ 2^128 for total = 1.
+    let m = (u128::MAX / total as u128).wrapping_add(1);
+    let slots = slot_table(&cum, total);
     let mut rng = SplitMix(seed ^ 0x1957_0ca1_b007_57a9);
     let mut meds = Vec::with_capacity(resamples as usize);
     let mut tally = vec![0u64; bounds.len()];
     for _ in 0..resamples {
         tally.fill(0);
-        for _ in 0..draws {
-            let u = rng.below(total);
-            let b = cum.partition_point(|&c| c <= u);
+        let mut taken = 0;
+        while taken < draws {
+            let x = rng.next();
+            if x >= zone {
+                continue;
+            }
+            taken += 1;
+            let b = match slots[(m.wrapping_mul(x as u128) >> (128 - SLOT_BITS)) as usize] {
+                MIXED => cum.partition_point(|&c| c <= x % total),
+                b => b as usize,
+            };
             tally[b] += 1;
         }
         meds.push(median_bound(&bounds, &tally, draws));

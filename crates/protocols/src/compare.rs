@@ -16,8 +16,8 @@ use crate::uncoordinated::{uncoordinated_hooks, uncoordinated_picker};
 use acfc_mpsl::Program;
 use acfc_obs::{HistSnapshot, Quantiles};
 use acfc_sim::{
-    compile, run_observed_with, run_with_hooks, FailurePlan, Hooks, SimConfig, SimObs, SimTime,
-    Trace,
+    compile, run_observed_with, run_with_hooks, Compiled, FailurePlan, Hooks, SimConfig, SimObs,
+    SimTime, Trace,
 };
 
 /// The protocols under comparison.
@@ -521,14 +521,51 @@ fn stats_from(
     }
 }
 
-/// Makespan in seconds of `program` with checkpointing disabled and no
-/// failures — the `T_bare` denominator of every overhead ratio. Split
-/// out so sweep cells that share a (workload, n, seed) baseline compute
-/// it once and fan the value out to every protocol via
-/// [`run_protocol_against`].
+/// A program made ready for protocol runs at one process count: compiled
+/// once for the bare baseline and every protocol that runs it as
+/// written, and — when the application-driven protocol is among those
+/// to run — analysed and compiled once more in its transformed form.
+/// Every run on one `(program, n)` shares it, so no run analyses or
+/// compiles.
+#[derive(Debug)]
+pub struct PreparedProgram {
+    compiled: Compiled,
+    app_driven: Option<AppDriven>,
+}
+
+impl PreparedProgram {
+    /// Compiles `program` and, if `protocols` includes
+    /// [`ProtocolKind::AppDriven`], runs its offline analysis for
+    /// `nprocs` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the application-driven analysis fails on the program.
+    pub fn new(program: &Program, nprocs: usize, protocols: &[ProtocolKind]) -> PreparedProgram {
+        let app_driven = protocols.contains(&ProtocolKind::AppDriven).then(|| {
+            AppDriven::prepare(program, nprocs.min(acfc_core::attr::MAX_ANALYSIS_RANKS))
+                .unwrap_or_else(|e| panic!("analysis failed: {e}"))
+        });
+        PreparedProgram {
+            compiled: compile(program),
+            app_driven,
+        }
+    }
+
+    /// Makespan in seconds with checkpointing disabled and no failures
+    /// — the `T_bare` denominator of every overhead ratio. Runs that
+    /// share a `(program, n, seed)` baseline compute it once and pass
+    /// it to [`run_protocol_against`].
+    pub fn bare_makespan(&self, sim: &SimConfig) -> f64 {
+        let mut hooks = NoCheckpointing;
+        run_with_hooks(&self.compiled, sim, &mut hooks).makespan_secs()
+    }
+}
+
+/// [`PreparedProgram::bare_makespan`] of `program`, prepared for this
+/// one run.
 pub fn bare_makespan(program: &Program, sim: &SimConfig) -> f64 {
-    let mut hooks = NoCheckpointing;
-    run_with_hooks(&compile(program), sim, &mut hooks).makespan_secs()
+    PreparedProgram::new(program, sim.nprocs, &[]).bare_makespan(sim)
 }
 
 /// Runs `protocol` on `program` under `config` and returns its stats.
@@ -542,24 +579,28 @@ pub fn bare_makespan(program: &Program, sim: &SimConfig) -> f64 {
 ///
 /// Panics if the application-driven analysis fails on the program.
 pub fn run_protocol(program: &Program, protocol: ProtocolKind, config: &CompareConfig) -> RunStats {
-    let bare_secs = bare_makespan(program, &config.sim);
-    run_protocol_against(program, protocol, config, bare_secs)
+    let prepared = PreparedProgram::new(program, config.sim.nprocs, &[protocol]);
+    let bare_secs = prepared.bare_makespan(&config.sim);
+    run_protocol_against(&prepared, protocol, config, bare_secs)
 }
 
-/// Like [`run_protocol`] but against a caller-supplied bare makespan
-/// (from [`bare_makespan`]), skipping the redundant baseline run.
+/// Like [`run_protocol`], but on a program prepared once for many runs
+/// and against a caller-supplied bare makespan (from
+/// [`PreparedProgram::bare_makespan`]), skipping the redundant baseline
+/// run.
 ///
 /// # Panics
 ///
-/// Panics if the application-driven analysis fails on the program.
+/// Panics if `protocol` is appl-driven and `prepared` was prepared
+/// without it.
 pub fn run_protocol_against(
-    program: &Program,
+    prepared: &PreparedProgram,
     protocol: ProtocolKind,
     config: &CompareConfig,
     bare_secs: f64,
 ) -> RunStats {
     let mut obs = SimObs::counters();
-    let (trace, piggyback_bits) = run_protocol_observed(program, protocol, config, &mut obs);
+    let (trace, piggyback_bits) = run_protocol_observed(prepared, protocol, config, &mut obs);
     stats_from(protocol, &trace, &obs, bare_secs, piggyback_bits)
 }
 
@@ -576,8 +617,9 @@ pub fn run_protocol_timeline(
     protocol: ProtocolKind,
     config: &CompareConfig,
 ) -> (Trace, SimObs) {
+    let prepared = PreparedProgram::new(program, config.sim.nprocs, &[protocol]);
     let mut obs = SimObs::timeline();
-    let (trace, _piggyback_bits) = run_protocol_observed(program, protocol, config, &mut obs);
+    let (trace, _piggyback_bits) = run_protocol_observed(&prepared, protocol, config, &mut obs);
     (trace, obs)
 }
 
@@ -585,16 +627,19 @@ pub fn run_protocol_timeline(
 /// Returns the trace plus the protocol's piggybacked bits (nonzero
 /// only for the CIC family, which meters its own wire payload).
 fn run_protocol_observed(
-    program: &Program,
+    prepared: &PreparedProgram,
     protocol: ProtocolKind,
     config: &CompareConfig,
     obs: &mut SimObs,
 ) -> (Trace, u64) {
     let n = config.sim.nprocs;
+    let compiled = &prepared.compiled;
     match protocol {
         ProtocolKind::AppDriven => {
-            let ad = AppDriven::prepare(program, n.min(acfc_core::attr::MAX_ANALYSIS_RANKS))
-                .unwrap_or_else(|e| panic!("analysis failed: {e}"));
+            let ad = prepared
+                .app_driven
+                .as_ref()
+                .expect("the program was prepared for appl-driven runs");
             let mut hooks = ad.hooks();
             let trace = run_observed_with(
                 &ad.compiled,
@@ -609,7 +654,7 @@ fn run_protocol_observed(
         ProtocolKind::Uncoordinated => {
             let mut hooks = uncoordinated_hooks(n, config.interval_us, config.skew_us);
             let trace = run_observed_with(
-                &compile(program),
+                compiled,
                 &config.sim,
                 &mut hooks,
                 config.failures.clone(),
@@ -626,7 +671,7 @@ fn run_protocol_observed(
             // line over the wave checkpoints (= latest-per-process when
             // the wave is tight) keeps recovery orphan-free.
             let trace = run_observed_with(
-                &compile(program),
+                compiled,
                 &config.sim,
                 &mut hooks,
                 config.failures.clone(),
@@ -638,7 +683,7 @@ fn run_protocol_observed(
         ProtocolKind::ChandyLamport => {
             let mut hooks = ChandyLamport::new(n, config.interval_us, config.sim.net.clone());
             let trace = run_observed_with(
-                &compile(program),
+                compiled,
                 &config.sim,
                 &mut hooks,
                 config.failures.clone(),
@@ -651,7 +696,7 @@ fn run_protocol_observed(
             let mut hooks = CicProtocol::new(variant, n, config.interval_us, config.skew_us);
             let picker = hooks.picker();
             let trace = run_observed_with(
-                &compile(program),
+                compiled,
                 &config.sim,
                 &mut hooks,
                 config.failures.clone(),
@@ -664,12 +709,19 @@ fn run_protocol_observed(
     }
 }
 
-/// Runs every protocol on the workload; returns stats in
-/// [`ProtocolKind::all`] order.
+/// Runs every protocol on the workload against one shared bare
+/// baseline; returns stats in [`ProtocolKind::all`] order.
+///
+/// # Panics
+///
+/// Panics if the application-driven analysis fails on the program.
 pub fn compare_all(program: &Program, config: &CompareConfig) -> Vec<RunStats> {
-    ProtocolKind::all()
+    let kinds = ProtocolKind::all();
+    let prepared = PreparedProgram::new(program, config.sim.nprocs, &kinds);
+    let bare_secs = prepared.bare_makespan(&config.sim);
+    kinds
         .into_iter()
-        .map(|k| run_protocol(program, k, config))
+        .map(|k| run_protocol_against(&prepared, k, config, bare_secs))
         .collect()
 }
 
@@ -751,6 +803,21 @@ mod tests {
             let q = s.latency_percentiles();
             assert!(q.p50 <= q.p90 && q.p90 <= q.p99);
             assert!(s.queue_depth.count > 0);
+        }
+    }
+
+    /// One preparation and one bare run shared by all eight protocols
+    /// reproduce each protocol's own `run_protocol` exactly.
+    #[test]
+    fn compare_all_matches_one_run_per_protocol() {
+        let cfg = CompareConfig::builder(4)
+            .failures(FailurePlan::at(vec![(SimTime::from_millis(150), 1)]))
+            .build()
+            .unwrap();
+        let stats = compare_all(&workload(), &cfg);
+        for (s, kind) in stats.iter().zip(ProtocolKind::all()) {
+            let alone = run_protocol(&workload(), kind, &cfg);
+            assert_eq!(s.json(4).render(), alone.json(4).render(), "{kind}");
         }
     }
 

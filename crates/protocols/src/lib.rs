@@ -53,7 +53,8 @@ pub use cic::{CicIndexing, CicProtocol, CicVariant, IndexBasedCic};
 pub use compare::{
     bare_makespan, compare_all, estimated_run_mib, render_table, run_protocol,
     run_protocol_against, run_protocol_timeline, CompareConfig, CompareConfigBuilder, ConfigError,
-    ParseProtocolError, ProtocolKind, RunStats, DEFAULT_MEMORY_BUDGET_MIB, MAX_COMPARE_PROCS,
+    ParseProtocolError, PreparedProgram, ProtocolKind, RunStats, DEFAULT_MEMORY_BUDGET_MIB,
+    MAX_COMPARE_PROCS,
 };
 pub use depgraph::{
     max_consistent_line, max_consistent_line_from, max_consistent_line_of, max_consistent_picker,

@@ -29,7 +29,7 @@
 
 use crate::cic::CicVariant;
 use crate::compare::{
-    bare_makespan, run_protocol_against, CompareConfig, ConfigError, ProtocolKind, RunStats,
+    run_protocol_against, CompareConfig, ConfigError, PreparedProgram, ProtocolKind, RunStats,
     MAX_COMPARE_PROCS,
 };
 use acfc_mpsl::{programs, Program};
@@ -976,6 +976,14 @@ struct CellOut {
     worker: usize,
 }
 
+/// What every cell of one `(workload, n)` block shares: the program,
+/// prepared once for every protocol on the plan's axis, and its
+/// per-trial `(bare makespan secs, failure horizon µs)` baselines.
+struct Block {
+    program: PreparedProgram,
+    baselines: Vec<(f64, u64)>,
+}
+
 /// The calling worker's index, parsed from its `{label}-{k}` thread
 /// name. `0` for unlabeled threads — in particular the calling thread
 /// when the sweep runs inline (`threads <= 1`).
@@ -991,11 +999,12 @@ fn worker_index() -> usize {
 ///
 /// Three phases, all on labeled scoped threads:
 ///
-/// 1. **Baselines** (`sweep-base-k` workers): for every
-///    `(workload, n)` block, each trial's bare (checkpoint-free,
-///    failure-free) run — the overhead denominator *and* the failure
-///    horizon. Computed once per block and shared by all its λ ×
-///    protocol cells, instead of once per protocol run.
+/// 1. **Blocks** (`sweep-base-k` workers): for every `(workload, n)`
+///    block, the program built, compiled and — for appl-driven —
+///    analysed once ([`PreparedProgram`]), and each trial's bare
+///    (checkpoint-free, failure-free) run — the overhead denominator
+///    *and* the failure horizon. Computed once per block and shared by
+///    all its λ × protocol cells, so no cell analyses or compiles.
 /// 2. **Paired reference** (`sweep-app-k` workers): the appl-driven
 ///    trials of every `(workload, n, λ)` column, computed once and
 ///    shared two ways — the appl-driven *cell* reuses them verbatim
@@ -1020,42 +1029,44 @@ pub fn run_sweep_threads(
         sink.begin(plan);
     }
 
-    // Phase 1: shared per-(workload, n) baselines, one entry per trial:
-    // (bare makespan secs, failure horizon µs).
+    // Phase 1: per (workload, n) block, the program prepared for every
+    // protocol on the axis and the shared baselines, one entry per
+    // trial: (bare makespan secs, failure horizon µs).
     let blocks: Vec<(usize, usize)> = (0..plan.workloads.len())
         .flat_map(|w| plan.ns.iter().map(move |&n| (w, n)))
         .collect();
-    let baselines: Vec<Vec<(f64, u64)>> = par_map_labeled(&blocks, "sweep-base", |_, &(w, n)| {
-        let program = plan.workloads[w].program(n);
-        (0..plan.seeds_per_cell)
+    let protocols = plan.protocols();
+    let shared: Vec<Block> = par_map_labeled(&blocks, "sweep-base", |_, &(w, n)| {
+        let program = PreparedProgram::new(&plan.workloads[w].program(n), n, &protocols);
+        let baselines = (0..plan.seeds_per_cell)
             .map(|trial| {
                 let sim = SimConfig::new(n).with_seed(plan.sim_seed(w, n, trial));
-                let bare = bare_makespan(&program, &sim);
+                let bare = program.bare_makespan(&sim);
                 (bare, (bare * 1e6) as u64)
             })
-            .collect()
+            .collect();
+        Block { program, baselines }
     });
-    let baseline_of = |w: usize, n: usize| {
+    let block_of = |w: usize, n: usize| {
         let b = blocks
             .iter()
             .position(|&(bw, bn)| bw == w && bn == n)
             .expect("cell block exists");
-        &baselines[b]
+        &shared[b]
     };
 
     // The trials of one cell, in trial order — shared by the paired
     // reference phase (appl-driven) and the cell phase (all kinds).
     let run_cell = |w: usize, n: usize, lambda: f64, protocol: ProtocolKind| -> Vec<RunStats> {
-        let program = plan.workloads[w].program(n);
+        let block = block_of(w, n);
         let lambda_idx = plan
             .lambdas
             .iter()
             .position(|&l| l == lambda)
             .expect("cell lambda is on the grid");
-        let base = baseline_of(w, n);
         (0..plan.seeds_per_cell)
             .map(|trial| {
-                let (bare_secs, horizon_us) = base[trial as usize];
+                let (bare_secs, horizon_us) = block.baselines[trial as usize];
                 let failures = if lambda > 0.0 {
                     FailurePlan::exponential(
                         n,
@@ -1072,7 +1083,7 @@ pub fn run_sweep_threads(
                     .failures(failures)
                     .build()
                     .expect("plan validation covers the config");
-                run_protocol_against(&program, protocol, &cc, bare_secs)
+                run_protocol_against(&block.program, protocol, &cc, bare_secs)
             })
             .collect()
     };

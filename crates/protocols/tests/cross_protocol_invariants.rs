@@ -153,7 +153,7 @@ fn every_protocols_recovery_line_is_consistent() {
 use acfc_protocols::depgraph::{
     useful_by_rollback, useless_checkpoints, useless_checkpoints_in, IntervalIndex,
 };
-use acfc_protocols::run_protocol_against;
+use acfc_protocols::{run_protocol_against, PreparedProgram};
 use acfc_util::check::{forall, Gen};
 
 /// One randomized cell: a workload instantiated at a random scale, a
@@ -260,7 +260,8 @@ fn cic_differential_orderings_hold_on_paired_random_cells() {
         let ctx = format!("case {} {} n={n}", g.case, program.name);
         // The bare makespan is irrelevant to the counted quantities;
         // share an arbitrary one instead of re-running the baseline.
-        let run = |k: ProtocolKind| run_protocol_against(&program, k, &cfg, 1.0);
+        let prepared = PreparedProgram::new(&program, n, &ProtocolKind::all());
+        let run = |k: ProtocolKind| run_protocol_against(&prepared, k, &cfg, 1.0);
         let index = run(ProtocolKind::Cic(CicVariant::Index));
         let bcs = run(ProtocolKind::Cic(CicVariant::Bcs));
         let hmnr = run(ProtocolKind::Cic(CicVariant::Hmnr));
