@@ -15,9 +15,9 @@
 //! (`O(V·(V+E))`) to `O(V + E + S²·V/64)` word operations for `S` SCCs —
 //! on loop-heavy CFGs, where many nodes collapse into few SCCs, this is
 //! the difference that makes closure (re)computation disappear from the
-//! Phase-III profile. The old per-node BFS survives as
-//! [`Reach::compute_naive`], the oracle for the equivalence property
-//! test.
+//! Phase-III profile. The old per-node BFS survives in
+//! `tests/proptest_graphs.rs` as the oracle for the equivalence
+//! property test.
 
 /// A dense reachability matrix: `reachable(a, b)` means there is a path
 /// of length ≥ 1 from `a` to `b`.
@@ -148,37 +148,6 @@ impl Reach {
         let mut rows = vec![0u64; n * words];
         for (v, row) in rows.chunks_exact_mut(words).enumerate() {
             row.copy_from_slice(&scc_rows[comp[v] * words..comp[v] * words + words]);
-        }
-        Reach { n, words, rows }
-    }
-
-    /// The original per-node BFS closure; `O(V·(V+E))`. Kept as the
-    /// oracle the SCC-condensed [`Reach::compute`] is property-tested
-    /// against.
-    pub fn compute_naive(succs: &[Vec<usize>]) -> Reach {
-        let n = succs.len();
-        let words = n.div_ceil(64);
-        let mut rows = vec![0u64; n * words];
-        let mut stack = Vec::new();
-        let mut seen = vec![false; n];
-        for start in 0..n {
-            seen.iter_mut().for_each(|b| *b = false);
-            stack.clear();
-            for &s in &succs[start] {
-                if !seen[s] {
-                    seen[s] = true;
-                    stack.push(s);
-                }
-            }
-            while let Some(x) = stack.pop() {
-                rows[start * words + x / 64] |= 1u64 << (x % 64);
-                for &s in &succs[x] {
-                    if !seen[s] {
-                        seen[s] = true;
-                        stack.push(s);
-                    }
-                }
-            }
         }
         Reach { n, words, rows }
     }

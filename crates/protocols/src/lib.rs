@@ -64,8 +64,8 @@ pub use depgraph::{
 pub use domino::{domino_report, domino_stream, DominoReport};
 pub use sas::{sas_control_messages, sas_message_overhead_us, SyncAndStop};
 pub use sweep::{
-    render_agg_json, render_sweep, run_sweep, run_sweep_threads, AggRow, CellSpec, CollectSink,
-    JsonlSink, Progress, ProgressSink, RowSink, SweepArtifact, SweepPlan, SweepPlanBuilder,
-    SweepRow, SweepSummary, TableSink, TelemetrySink, Workload, PROGRESS_WINDOW, STRAGGLER_FACTOR,
+    render_agg_json, run_sweep, run_sweep_threads, AggRow, CellSpec, CollectSink, JsonlSink,
+    Progress, ProgressSink, RowSink, SweepArtifact, SweepPlan, SweepPlanBuilder, SweepRow,
+    SweepSummary, TableSink, TelemetrySink, Workload, PROGRESS_WINDOW, STRAGGLER_FACTOR,
 };
 pub use uncoordinated::{uncoordinated_hooks, uncoordinated_picker};

@@ -38,7 +38,6 @@ use acfc_sim::{FailurePlan, SimConfig, SimTime};
 use acfc_util::bench::Json;
 use acfc_util::parallel::{configured_threads, par_for_each_ordered_labeled, par_map_labeled};
 use acfc_util::rng::mix64;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -1187,37 +1186,6 @@ pub struct SweepRow {
     pub stats: RunStats,
 }
 
-/// Renders single-seed rows as a TSV table (`n`, protocol, ratio,
-/// checkpoints, forced, control messages, coordination stall, failures,
-/// lost ms, latency percentile bounds).
-pub fn render_sweep(rows: &[SweepRow]) -> String {
-    let mut out = String::from(
-        "n\tprotocol\tratio\tckpts\tforced\tctrl_msgs\tcoord_ms\tfails\tlost_ms\t\
-         lat_p50_us\tlat_p90_us\tlat_p99_us\n",
-    );
-    for r in rows {
-        let s = &r.stats;
-        let q = s.latency_percentiles();
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{:.4}\t{}\t{}\t{}\t{:.1}\t{}\t{:.1}\t{}\t{}\t{}",
-            r.n,
-            s.protocol.name(),
-            s.overhead_ratio,
-            s.checkpoints,
-            s.forced,
-            s.control_messages,
-            s.coord_stall_us as f64 / 1000.0,
-            s.failures,
-            s.lost_us as f64 / 1000.0,
-            q.p50,
-            q.p90,
-            q.p99,
-        );
-    }
-    out
-}
-
 /// The machine-readable single-seed comparison artifact: a workload
 /// name plus one flat stats object per (`n`, protocol) run — typed,
 /// where the former free function took a loose string and a slice.
@@ -1548,10 +1516,10 @@ mod tests {
         assert!(collect.rows[8..].iter().all(|r| r.workload == "pingpong"));
     }
 
-    /// The single-seed row shape the CLI streams: a table and a typed
-    /// artifact built from the same `compare_all` stats.
+    /// The single-seed row shape `acfc compare --json` writes: a typed
+    /// artifact built from `compare_all` stats.
     #[test]
-    fn single_seed_rows_render_table_and_artifact() {
+    fn single_seed_rows_build_a_typed_artifact() {
         let cc = CompareConfig::builder(2).build().unwrap();
         let program = programs::jacobi(10);
         let rows: Vec<SweepRow> = ProtocolKind::all()
@@ -1570,9 +1538,6 @@ mod tests {
             );
             assert!(r.stats.overhead_ratio.is_finite());
         }
-        let tsv = render_sweep(&rows);
-        assert_eq!(tsv.lines().count(), 9);
-        assert!(tsv.contains("appl-driven"));
         let json = SweepArtifact::new("jacobi", rows).to_json();
         assert!(json.contains("\"workload\": \"jacobi\""));
         for kind in ProtocolKind::all() {

@@ -1,83 +1,10 @@
-//! Wall-clock timing harness and a minimal JSON writer.
+//! A one-shot wall-clock timer and a minimal JSON writer.
 //!
-//! Replaces the former `criterion` dev-dependency for the repo's
-//! purposes: [`bench`] warms up, then runs batches until both a
-//! minimum iteration count and a minimum wall time are reached, and
-//! reports the median per-iteration time over batches (robust to a
-//! stray slow batch); the `acfc-bench` benches print its samples.
-//! [`time_once`] times one macro run. [`Json`] is the insertion-ordered
-//! object writer behind the sweep and compare JSON / JSONL artifacts.
+//! [`time_once`] times one macro run (the `benchmark/` package's
+//! timer). [`Json`] is the insertion-ordered object writer behind the
+//! sweep and compare JSON / JSONL artifacts.
 
 use std::time::Instant;
-
-/// One benchmark measurement.
-#[derive(Debug, Clone)]
-pub struct Sample {
-    /// Benchmark name.
-    pub name: String,
-    /// Total iterations across all measured batches.
-    pub iters: u64,
-    /// Median per-iteration nanoseconds across batches.
-    pub median_ns: f64,
-    /// Mean per-iteration nanoseconds over everything measured.
-    pub mean_ns: f64,
-}
-
-impl Sample {
-    /// Iterations per second implied by the median.
-    pub fn per_sec(&self) -> f64 {
-        1e9 / self.median_ns.max(1e-9)
-    }
-
-    /// Human-readable one-liner.
-    pub fn render(&self) -> String {
-        format!(
-            "{:<44} {:>12.1} ns/iter ({:.1} iters/s, {} iters)",
-            self.name,
-            self.median_ns,
-            self.per_sec(),
-            self.iters
-        )
-    }
-}
-
-/// Measures `f`, discarding its output via [`std::hint::black_box`].
-///
-/// Runs one warm-up batch, then measures batches of adaptively chosen
-/// size until at least `min_total_ms` of wall time and 10 batches have
-/// accumulated.
-pub fn bench<R>(name: &str, min_total_ms: u64, mut f: impl FnMut() -> R) -> Sample {
-    // Warm-up and batch sizing: aim for ~10ms batches.
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    let once_ns = t0.elapsed().as_nanos().max(1);
-    let batch = ((10_000_000 / once_ns).max(1) as u64).min(1_000_000);
-    let mut batch_ns: Vec<f64> = Vec::new();
-    let mut total_iters = 0u64;
-    let mut total_ns = 0u128;
-    let deadline_ns = (min_total_ms as u128) * 1_000_000;
-    while total_ns < deadline_ns || batch_ns.len() < 10 {
-        let t = Instant::now();
-        for _ in 0..batch {
-            std::hint::black_box(f());
-        }
-        let ns = t.elapsed().as_nanos();
-        batch_ns.push(ns as f64 / batch as f64);
-        total_iters += batch;
-        total_ns += ns;
-        if batch_ns.len() > 10_000 {
-            break; // pathological: f too fast for the deadline to bind
-        }
-    }
-    batch_ns.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    let median_ns = batch_ns[batch_ns.len() / 2];
-    Sample {
-        name: name.to_string(),
-        iters: total_iters,
-        median_ns,
-        mean_ns: total_ns as f64 / total_iters as f64,
-    }
-}
 
 /// Times a single run of `f` (for macro measurements where one
 /// execution is already seconds long), returning `(result, seconds)`.
@@ -154,21 +81,6 @@ impl Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_measures_something() {
-        let s = bench("spin", 5, || {
-            let mut acc = 0u64;
-            for i in 0..100u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            acc
-        });
-        assert!(s.median_ns > 0.0);
-        assert!(s.iters >= 10);
-        assert!(s.render().contains("spin"));
-        assert!(s.per_sec() > 0.0);
-    }
 
     #[test]
     fn time_once_returns_result() {

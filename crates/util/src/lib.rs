@@ -12,8 +12,8 @@
 //!   sweeps. Honors `ACFC_THREADS` and `std::thread::available_parallelism`.
 //! * [`check`] — a miniature property-test harness (seeded generators +
 //!   a `forall` runner) replacing the former `proptest` dev-dependency.
-//! * [`bench`] — a wall-clock timing harness for the `acfc-bench`
-//!   benches and a tiny JSON writer for the sweep and compare artifacts.
+//! * [`bench`] — a one-shot wall-clock timer for the `benchmark/`
+//!   package and a tiny JSON writer for the sweep and compare artifacts.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

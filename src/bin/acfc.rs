@@ -10,7 +10,7 @@
 //!              [--backend-dir DIR] [--kill p@t]... [--interval-us N] [--jsonl out.jsonl]
 //! acfc report  <file.mpsl> [--nprocs N] [--seed S] [--serve ADDR]
 //! acfc mpmd    <name> <file.mpsl@FIRST[-LAST]>... # combine MPMD roles into SPMD
-//! acfc figures                                    # regenerate Figures 8 and 9
+//! acfc figures                                    # regenerate EXPERIMENTS.md's tables
 //! acfc compare <file.mpsl>... [--nprocs N] [--seed S] [--failure-rate L]...
 //!              [--sweep] [--ns 2,4,8,16] [--seeds K] [--cic index,bcs,hmnr,lazy]
 //!              [--telemetry] [--jsonl out.jsonl] [--json out.json] [--profile out.json]
@@ -67,6 +67,11 @@
 //! wall spans as a flamegraph; `--serve ADDR` exposes live metrics for
 //! the duration of the sweep. Rows are bit-identical at any
 //! `ACFC_THREADS`.
+//!
+//! `figures` prints every deterministic table of `EXPERIMENTS.md`, each
+//! as the fenced section the doc carries between its generated-block
+//! markers. A flag that the chosen subcommand does not read is an
+//! error, not silently ignored.
 
 use acfc::cfg::build_cfg;
 use acfc::core::{
@@ -78,6 +83,8 @@ use acfc::perfmodel::{
     figure8, figure8_default_ns, figure9, figure9_default_wms, to_tsv, ModelParams,
 };
 use acfc::sim::{compile, consistency, run, run_observed, SimConfig, SimObs};
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 struct Args {
@@ -107,6 +114,19 @@ struct Args {
     backend_dir: Option<String>,
     kills: Vec<String>,
     interval_us: u64,
+    /// Every flag given, in order (`-n` as `--nprocs`).
+    flags: Vec<String>,
+}
+
+impl Args {
+    /// Rejects the first flag given that `cmd` does not read, so a
+    /// misplaced flag fails instead of being silently ignored.
+    fn only(&self, cmd: &str, reads: &[&str]) -> Result<(), String> {
+        match self.flags.iter().find(|f| !reads.contains(&f.as_str())) {
+            Some(flag) => Err(format!("`{cmd}` does not read {flag}")),
+            None => Ok(()),
+        }
+    }
 }
 
 fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
@@ -139,9 +159,17 @@ fn parse_args(mut argv: std::env::Args) -> Result<(String, Args), String> {
         backend_dir: None,
         kills: Vec::new(),
         interval_us: 60_000,
+        flags: Vec::new(),
     };
     let mut it = argv.peekable();
     while let Some(a) = it.next() {
+        if a.starts_with('-') {
+            args.flags.push(if a == "-n" {
+                "--nprocs".into()
+            } else {
+                a.clone()
+            });
+        }
         match a.as_str() {
             "--nprocs" | "-n" => {
                 args.nprocs = it
@@ -260,6 +288,7 @@ fn load(args: &Args) -> Result<acfc::mpsl::Program, String> {
 }
 
 fn cmd_check(args: &Args) -> Result<(), String> {
+    args.only("check", &["--nprocs"])?;
     let program = load(args)?;
     acfc::core::check_nprocs(args.nprocs).map_err(|e| e.to_string())?;
     let (cfg, lowered) = build_cfg(&program);
@@ -301,8 +330,8 @@ fn analysis_config(args: &Args) -> AnalysisConfig {
 
 /// Writes the captured wall-span forest as folded stack lines (the
 /// flamegraph.pl / `inferno` input format) plus a sibling speedscope
-/// JSON document next to it.
-fn write_folded(path: &str, spans: &[acfc::obs::WallSpan]) -> Result<(), String> {
+/// JSON document next to it; returns the line that reports both.
+fn write_folded(path: &str, spans: &[acfc::obs::WallSpan]) -> Result<String, String> {
     let labels = acfc::obs::thread_labels();
     std::fs::write(path, acfc::obs::folded_lines(spans, &labels))
         .map_err(|e| format!("{path}: {e}"))?;
@@ -314,15 +343,25 @@ fn write_folded(path: &str, spans: &[acfc::obs::WallSpan]) -> Result<(), String>
         .unwrap_or("acfc");
     std::fs::write(&ss_path, acfc::obs::speedscope_json(spans, &labels, name))
         .map_err(|e| format!("{ss_path}: {e}"))?;
-    println!(
+    Ok(format!(
         "wrote {} wall-clock span(s) as folded stacks to {path} (flamegraph.pl/inferno) \
          and {ss_path} (load in https://www.speedscope.app)",
         spans.len()
-    );
-    Ok(())
+    ))
 }
 
 fn cmd_analyze(args: &Args) -> Result<(), String> {
+    args.only(
+        "analyze",
+        &[
+            "--nprocs",
+            "--failure-rate",
+            "--emit",
+            "--dot",
+            "--profile",
+            "--folded",
+        ],
+    )?;
     let program = load(args)?;
     let capture = args.profile.is_some() || args.folded.is_some();
     if capture {
@@ -353,7 +392,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             );
         }
         if let Some(path) = &args.folded {
-            write_folded(path, &spans)?;
+            println!("{}", write_folded(path, &spans)?);
         }
         if spans.is_empty() {
             println!("note: binary built without the `obs` feature; spans are compiled out");
@@ -372,6 +411,23 @@ fn cmd_run_real(args: &Args) -> Result<(), String> {
         backend_for, coordinator_for, run_det, run_free, FailureInjector, FreeConfig, RunEvent,
     };
     use acfc::sim::Outcome;
+    args.only(
+        "run --real",
+        &[
+            "--real",
+            "--det",
+            "--nprocs",
+            "--seed",
+            "--input",
+            "--protocol",
+            "--backend",
+            "--backend-dir",
+            "--kill",
+            "--interval-us",
+            "--trace",
+            "--jsonl",
+        ],
+    )?;
     let program = load(args)?;
     let kind: ProtocolKind = args
         .protocol
@@ -493,6 +549,18 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     if args.real {
         return cmd_run_real(args);
     }
+    args.only(
+        "run",
+        &[
+            "--nprocs",
+            "--seed",
+            "--input",
+            "--analyze",
+            "--failure-rate",
+            "--trace",
+            "--profile",
+        ],
+    )?;
     let mut program = load(args)?;
     if args.do_analyze {
         let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
@@ -564,6 +632,10 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// instrumentation on and print the registry counter/histogram table
 /// plus the per-run simulator summary.
 fn cmd_report(args: &Args) -> Result<(), String> {
+    args.only(
+        "report",
+        &["--nprocs", "--failure-rate", "--seed", "--input", "--serve"],
+    )?;
     let program = load(args)?;
     acfc::obs::reset();
     acfc::obs::set_enabled(true);
@@ -620,6 +692,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 /// A spec is `FIRST` (single rank), `FIRST-LAST`, or `FIRST-` (rest).
 fn cmd_mpmd(args: &Args) -> Result<(), String> {
     use acfc::mpsl::mpmd::{combine, Role};
+    args.only("mpmd", &[])?;
     let name = args
         .positional
         .first()
@@ -683,12 +756,28 @@ fn load_all(args: &Args) -> Result<Vec<acfc::mpsl::Program>, String> {
 
 /// `acfc compare --sweep` — the replicated evaluation matrix: process
 /// counts × failure rates × workloads, `--seeds` trials per cell,
-/// aggregate rows (mean ± 95% CI) streaming to stdout as cells finish.
-fn cmd_compare_sweep(args: &Args) -> Result<(), String> {
+/// aggregate rows (mean ± 95% CI) streaming to `out` as cells finish.
+fn cmd_compare_sweep(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use acfc::protocols::{
         render_agg_json, run_sweep, CicVariant, CollectSink, JsonlSink, ProgressSink, RowSink,
         SweepPlan, TableSink, TelemetrySink, Workload,
     };
+    args.only(
+        "compare --sweep",
+        &[
+            "--sweep",
+            "--ns",
+            "--seeds",
+            "--seed",
+            "--failure-rate",
+            "--cic",
+            "--jsonl",
+            "--telemetry",
+            "--json",
+            "--folded",
+            "--serve",
+        ],
+    )?;
     let programs = load_all(args)?;
     let mut builder = SweepPlan::builder()
         .ns(args.ns.clone().unwrap_or_else(|| vec![2, 4, 8]))
@@ -730,7 +819,7 @@ fn cmd_compare_sweep(args: &Args) -> Result<(), String> {
         let _ = acfc::obs::take_wall_spans(); // start from a clean log
     }
 
-    let mut table = TableSink::new(std::io::stdout());
+    let mut table = TableSink::new(&mut *out);
     let mut progress = ProgressSink::new(std::io::stderr());
     let mut collect = CollectSink::default();
     let mut jsonl = None;
@@ -760,9 +849,12 @@ fn cmd_compare_sweep(args: &Args) -> Result<(), String> {
         acfc::obs::set_enabled(false);
         let spans = acfc::obs::take_wall_spans();
         if let Some(path) = &args.folded {
-            write_folded(path, &spans)?;
+            writeln!(out, "{}", write_folded(path, &spans)?)?;
             if spans.is_empty() {
-                println!("note: binary built without the `obs` feature; spans are compiled out");
+                writeln!(
+                    out,
+                    "note: binary built without the `obs` feature; spans are compiled out"
+                )?;
             }
         }
     }
@@ -771,7 +863,8 @@ fn cmd_compare_sweep(args: &Args) -> Result<(), String> {
     }
 
     if let Some(path) = &args.jsonl {
-        println!(
+        writeln!(
+            out,
             "wrote {} aggregate row(s) ({} seeds/cell){} to {path}",
             collect.rows.len(),
             plan.seeds_per_cell(),
@@ -780,14 +873,15 @@ fn cmd_compare_sweep(args: &Args) -> Result<(), String> {
             } else {
                 ""
             }
-        );
+        )?;
     }
     if let Some(path) = &args.json {
         std::fs::write(path, render_agg_json(&collect.rows)).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "wrote comparison JSON ({} aggregate row(s)) to {path}",
             collect.rows.len()
-        );
+        )?;
     }
     Ok(())
 }
@@ -795,15 +889,27 @@ fn cmd_compare_sweep(args: &Args) -> Result<(), String> {
 /// `acfc compare` — the protocol-comparison dashboard: one table (and
 /// optionally one JSON artifact and one merged Perfetto timeline) with
 /// every protocol's measured coordination cost on the same workload.
-fn cmd_compare(args: &Args) -> Result<(), String> {
+fn cmd_compare(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use acfc::protocols::{
         compare_all, render_table, run_protocol_timeline, CompareConfig, ProtocolKind,
         SweepArtifact, SweepRow,
     };
     use acfc::sim::{FailurePlan, MergedRun, SimTime};
     if args.sweep {
-        return cmd_compare_sweep(args);
+        return cmd_compare_sweep(args, out);
     }
+    args.only(
+        "compare",
+        &[
+            "--nprocs",
+            "--ns",
+            "--seed",
+            "--input",
+            "--failure-rate",
+            "--json",
+            "--profile",
+        ],
+    )?;
     let program = load(args)?;
     let ns: Vec<usize> = args.ns.clone().unwrap_or_else(|| vec![args.nprocs]);
     let mut rows: Vec<SweepRow> = Vec::new();
@@ -823,17 +929,18 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             }
         }
         let stats = compare_all(&program, &cc);
-        println!("== {} at n = {n} ==", program.name);
-        print!("{}", render_table(&stats));
+        writeln!(out, "== {} at n = {n} ==", program.name)?;
+        write!(out, "{}", render_table(&stats))?;
         rows.extend(stats.into_iter().map(|s| SweepRow { n, stats: s }));
     }
     if let Some(path) = &args.json {
         let artifact = SweepArtifact::new(program.name.clone(), rows);
         std::fs::write(path, artifact.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "wrote comparison JSON ({} run(s)) to {path}",
             artifact.runs.len()
-        );
+        )?;
     }
     if let Some(path) = &args.profile {
         // Merge one timeline run per protocol at the largest n into a
@@ -861,24 +968,212 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
             .collect();
         let json = acfc::sim::merged_timeline_json(&merged);
         std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "wrote merged timeline ({} protocol track group(s) at n={n}) to {path} \
              (load in https://ui.perfetto.dev)",
             merged.len()
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_figures() {
+/// `acfc figures` — every deterministic table of `EXPERIMENTS.md`, each
+/// printed as the fenced section the doc carries between the same
+/// generated-block markers (`tests/experiments_doc.rs` compares the two
+/// byte for byte).
+fn cmd_figures(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
+    use acfc::perfmodel::{
+        gamma_closed_form, optimal_k, simulate_interval, single_level_ratio,
+        twolevel_ratio_analytic, IntervalParams, ModelProtocol, TwoLevelParams,
+    };
+    use acfc::protocols::{
+        compare_all, domino_report, domino_stream, render_table, run_sweep, uncoordinated_picker,
+        AppDriven, CompareConfig, RowSink, SweepPlan, TableSink,
+    };
+    use acfc::sim::{run_with_failures, FailurePlan, NoHooks, SimTime};
+    use std::fmt::Write as _;
+    args.only("figures", &[])?;
+    let mut section = |id: &str, title: String, body: &str| {
+        writeln!(
+            out,
+            "<!-- generated: {id} -->\n```text\n# {title}\n{body}```\n<!-- end generated -->\n"
+        )
+    };
     let params = ModelParams::default();
-    println!("# Figure 8 — overhead ratio vs. number of processes");
-    print!("{}", to_tsv("n", &figure8(&params, &figure8_default_ns())));
-    println!("# Figure 9 — overhead ratio vs. w_m (n = 64)");
-    print!(
-        "{}",
-        to_tsv("w_m", &figure9(&params, 64, &figure9_default_wms()))
+
+    section(
+        "fig8",
+        "Figure 8 — overhead ratio vs. number of processes".into(),
+        &to_tsv("n", &figure8(&params, &figure8_default_ns())),
+    )?;
+    let n = 64;
+    section(
+        "fig9",
+        format!("Figure 9 — overhead ratio vs. w_m (n = {n})"),
+        &to_tsv("w_m", &figure9(&params, n, &figure9_default_wms())),
+    )?;
+
+    let mut body = String::from("n\tM(SaS)\tM(C-L)\tM(appl-driven)\n");
+    for n in [2usize, 8, 32, 128] {
+        writeln!(
+            body,
+            "{n}\t{:.4}\t{:.4}\t{:.4}",
+            params.message_overhead(ModelProtocol::SyncAndStop, n),
+            params.message_overhead(ModelProtocol::ChandyLamport, n),
+            params.message_overhead(ModelProtocol::AppDriven, n),
+        )?;
+    }
+    section(
+        "message-overhead",
+        "per-checkpoint protocol message overhead M (model, seconds)".into(),
+        &body,
+    )?;
+    // E2: the request/reply zigzag as written (uncoordinated), then
+    // after the offline analysis, under the same failure.
+    let (rounds, n, fail_ms) = (10, 2, 80);
+    let program = domino_stream(rounds);
+    let plan = FailurePlan::at(vec![(SimTime::from_millis(fail_ms), 1)]);
+    let ad = AppDriven::prepare(&program, 4)?;
+    let written = compile(&program);
+    let cfg = SimConfig::new(n);
+    let as_written = run_with_failures(
+        &written,
+        &cfg,
+        &mut NoHooks,
+        plan.clone(),
+        uncoordinated_picker(),
     );
+    let analysed = run_with_failures(&ad.compiled, &cfg, &mut ad.hooks(), plan, ad.picker());
+    let mut body =
+        String::from("placement\tmax consistent line\tdiscarded\tfull restart\tlost (ms)\n");
+    for (name, compiled, failed) in [
+        ("as written (uncoordinated)", &written, &as_written),
+        ("after the offline analysis", &ad.compiled, &analysed),
+    ] {
+        let rep = domino_report(&run(compiled, &cfg));
+        writeln!(
+            body,
+            "{name}\t{:?}\t{:?}\t{}\t{:.1}",
+            rep.line,
+            rep.depths,
+            rep.full_restart,
+            failed.failures[0].lost_us as f64 / 1000.0
+        )?;
+    }
+    section(
+        "e2-domino",
+        format!("E2 — request/reply zigzag, {rounds} rounds, n = {n}, failure at t = {fail_ms} ms"),
+        &body,
+    )?;
+
+    let (trials, seed) = (100_000, 0xACFC);
+    let mut body = String::from("lambda\tanalytic Γ\tMC mean\tMC stderr\trel.err\n");
+    for lambda in [1e-5, 1e-4, 1e-3] {
+        let p = IntervalParams {
+            lambda,
+            t: 300.0,
+            o_total: params.o,
+            l_total: params.l,
+            r_recovery: params.r_recovery,
+        };
+        let exact = gamma_closed_form(&p);
+        let est = simulate_interval(&p, trials, seed);
+        writeln!(
+            body,
+            "{lambda:.0e}\t{exact:.4}\t{:.4}\t{:.4}\t{:.2e}",
+            est.mean,
+            est.std_err,
+            (est.mean - exact).abs() / exact
+        )?;
+    }
+    section(
+        "e3-monte-carlo",
+        format!("E3 — interval model vs. Monte-Carlo, {trials} trials per λ, seed {seed:#X}"),
+        &body,
+    )?;
+
+    let (n, seed, fail_ms) = (4, 7, 250);
+    let cc = CompareConfig::builder(n)
+        .seed(seed)
+        .failures(FailurePlan::at(vec![(SimTime::from_millis(fail_ms), 0)]))
+        .build()?;
+    section(
+        "e4-single-run",
+        format!("E4 — jacobi(8), n = {n}, seed {seed}, P0 fails at {fail_ms} ms"),
+        &render_table(&compare_all(&acfc::mpsl::programs::jacobi(8), &cc)),
+    )?;
+
+    // The plan `acfc compare --sweep programs/jacobi.mpsl --ns 2,4,8,16
+    // --seeds 3 --failure-rate 0.8` runs; its last line reports wall
+    // time, so it is not part of the section.
+    let rate = 0.8;
+    let plan = SweepPlan::builder()
+        .ns([2usize, 4, 8, 16])
+        .seeds_per_cell(3)
+        .failure_rates([rate])
+        .build()?;
+    let mut table = TableSink::new(Vec::new());
+    run_sweep(&plan, &mut [&mut table as &mut dyn RowSink]);
+    let text = String::from_utf8(table.into_inner())?;
+    let rows = text
+        .trim_end()
+        .rsplit_once('\n')
+        .map_or("", |(rows, _)| rows);
+    section(
+        "e4-scaling",
+        format!(
+            "E4 scaling — jacobi(10), failures ~ Exp(n · {rate}/s of simulated time), {} seeds per cell",
+            plan.seeds_per_cell()
+        ),
+        &format!("{rows}\n"),
+    )?;
+
+    let tl = TwoLevelParams {
+        lambda_single: 5e-5,
+        lambda_cat: 1e-6,
+        t: 300.0,
+        o1: 0.2,
+        o2: params.o,
+        r1: 0.5,
+        r2: params.r_recovery,
+        k: 8,
+    };
+    let (k_star, best) = optimal_k(&tl, 256);
+    let body = format!(
+        "scheme\tk\toverhead ratio\n\
+         single-level (all stable storage)\t-\t{:.6e}\n\
+         two-level\t{}\t{:.6e}\n\
+         two-level, optimal k*\t{k_star}\t{best:.6e}\n",
+        single_level_ratio(&tl),
+        tl.k,
+        twolevel_ratio_analytic(&tl),
+    );
+    section(
+        "e6-two-level",
+        format!(
+            "E6 — two-level recovery: o1 = {} s, o2 = {} s, λ1 = {:e}/s, λ2 = {:e}/s",
+            tl.o1, tl.o2, tl.lambda_single, tl.lambda_cat
+        ),
+        &body,
+    )?;
+
+    Ok(())
+}
+
+/// Runs a command that writes its report to a locked stdout. A reader
+/// that stops early (`acfc figures | head -1`) closes the pipe, which
+/// ends the command quietly instead of failing it.
+fn to_stdout(cmd: impl FnOnce(&mut dyn Write) -> Result<(), Box<dyn Error>>) -> Result<(), String> {
+    match cmd(&mut io::stdout().lock()) {
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            Ok(())
+        }
+        result => result.map_err(|e| e.to_string()),
+    }
 }
 
 fn main() -> ExitCode {
@@ -895,11 +1190,8 @@ fn main() -> ExitCode {
         "run" => cmd_run(&args),
         "report" => cmd_report(&args),
         "mpmd" => cmd_mpmd(&args),
-        "compare" => cmd_compare(&args),
-        "figures" => {
-            cmd_figures();
-            Ok(())
-        }
+        "compare" => to_stdout(|out| cmd_compare(&args, out)),
+        "figures" => to_stdout(|out| cmd_figures(&args, out)),
         other => Err(format!("unknown command `{other}`\n{}", usage())),
     };
     match result {

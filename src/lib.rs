@@ -19,7 +19,7 @@
 //! | [`protocols`] | baselines: uncoordinated, SaS, C-L, CIC; recovery lines |
 //! | [`perfmodel`] | the §4 stochastic model; Figures 8 and 9 |
 //! | [`obs`] | spans, counters, histograms, Perfetto trace export |
-//! | [`util`] | scoped-thread fan-out, bench harness, JSON writer |
+//! | [`util`] | scoped-thread fan-out, one-shot timer, JSON writer |
 //!
 //! ```
 //! use acfc::core::{analyze, AnalysisConfig};

@@ -2,7 +2,7 @@
 //! binary (via `CARGO_BIN_EXE_acfc`) on the sample programs shipped in
 //! `programs/`.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn acfc(args: &[&str]) -> Output {
@@ -11,6 +11,16 @@ fn acfc(args: &[&str]) -> Output {
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .output()
         .expect("binary runs")
+}
+
+/// A fresh directory for one test's files (`tag` is unique per test),
+/// tagged with the process id so two test runs at once never write the
+/// same path.
+fn scratch(tag: &str) -> PathBuf {
+    let d = std::env::temp_dir().join(format!("acfc-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
 }
 
 fn stdout(out: &Output) -> String {
@@ -64,7 +74,7 @@ fn analyze_emits_a_repaired_program_that_then_checks_clean() {
         .split("--- transformed program ---")
         .nth(1)
         .expect("emitted section");
-    let tmp = std::env::temp_dir().join("acfc_cli_test_repaired.mpsl");
+    let tmp = scratch("repaired").join("repaired.mpsl");
     std::fs::write(&tmp, emitted).unwrap();
     let check = acfc(&["check", tmp.to_str().unwrap()]);
     assert!(check.status.success(), "{}", stdout(&check));
@@ -132,7 +142,7 @@ fn compare_prints_the_dashboard_table() {
 
 #[test]
 fn compare_multi_n_emits_one_table_per_n_and_a_json_artifact() {
-    let json_path = std::env::temp_dir().join("acfc_cli_compare_multi_n.json");
+    let json_path = scratch("multi-n").join("compare.json");
     let out = acfc(&[
         "compare",
         "programs/jacobi.mpsl",
@@ -161,7 +171,7 @@ fn compare_multi_n_emits_one_table_per_n_and_a_json_artifact() {
 
 #[test]
 fn compare_sweep_streams_ci_rows_and_a_jsonl_artifact() {
-    let jsonl_path = std::env::temp_dir().join("acfc_cli_compare_sweep.jsonl");
+    let jsonl_path = scratch("sweep").join("sweep.jsonl");
     let out = acfc(&[
         "compare",
         "programs/jacobi.mpsl",
@@ -225,8 +235,9 @@ fn compare_sweep_rows_are_identical_across_thread_counts() {
         );
         std::fs::read(path).expect("JSONL written")
     };
-    let p1 = std::env::temp_dir().join("acfc_cli_sweep_t1.jsonl");
-    let p8 = std::env::temp_dir().join("acfc_cli_sweep_t8.jsonl");
+    let dir = scratch("sweep-threads");
+    let p1 = dir.join("t1.jsonl");
+    let p8 = dir.join("t8.jsonl");
     let serial = run_at("1", &p1);
     let parallel = run_at("8", &p8);
     assert!(!serial.is_empty());
@@ -237,11 +248,11 @@ fn compare_sweep_rows_are_identical_across_thread_counts() {
 fn compare_artifacts_stay_valid_json_when_the_bare_makespan_is_zero() {
     // An empty program finishes at t = 0, so every overhead ratio
     // divides by a zero bare makespan.
-    let dir = std::env::temp_dir();
-    let program = dir.join("acfc_cli_empty.mpsl");
+    let dir = scratch("empty");
+    let program = dir.join("empty.mpsl");
     std::fs::write(&program, "program empty;\n").unwrap();
-    let json_path = dir.join("acfc_cli_empty.json");
-    let jsonl_path = dir.join("acfc_cli_empty.jsonl");
+    let json_path = dir.join("empty.json");
+    let jsonl_path = dir.join("empty.jsonl");
     for args in [
         vec!["--nprocs", "2", "--json", json_path.to_str().unwrap()],
         vec![
@@ -275,7 +286,8 @@ fn compare_artifacts_stay_valid_json_when_the_bare_makespan_is_zero() {
 
 #[test]
 fn analyze_folded_writes_flamegraph_and_speedscope_files() {
-    let folded_path = std::env::temp_dir().join("acfc_cli_analyze.folded");
+    let dir = scratch("analyze-folded");
+    let folded_path = dir.join("analyze.folded");
     let out = acfc(&[
         "analyze",
         "programs/jacobi_odd_even.mpsl",
@@ -303,7 +315,7 @@ fn analyze_folded_writes_flamegraph_and_speedscope_files() {
     // The analysis pipeline's spans appear as nested stacks.
     assert!(folded.contains("core/analyze;core/phase1"), "{folded}");
     // The sibling speedscope document rides along.
-    let ss_path = std::env::temp_dir().join("acfc_cli_analyze.speedscope.json");
+    let ss_path = dir.join("analyze.speedscope.json");
     let ss = std::fs::read_to_string(&ss_path).expect("speedscope written");
     assert!(ss.contains("https://www.speedscope.app/file-format-schema.json"));
     assert!(ss.contains("\"type\": \"evented\""), "{ss}");
@@ -341,10 +353,11 @@ fn sweep_telemetry_trailer_rides_the_jsonl_without_perturbing_rows() {
         );
         std::fs::read_to_string(path).expect("JSONL written")
     };
-    let bare_path = std::env::temp_dir().join("acfc_cli_telemetry_bare.jsonl");
+    let dir = scratch("telemetry");
+    let bare_path = dir.join("bare.jsonl");
     let bare = run_at("2", &bare_path, &[]);
     for threads in ["1", "8"] {
-        let path = std::env::temp_dir().join(format!("acfc_cli_telemetry_t{threads}.jsonl"));
+        let path = dir.join(format!("t{threads}.jsonl"));
         let with = run_at(threads, &path, &["--telemetry"]);
         let (rows, trailers): (Vec<&str>, Vec<&str>) = with
             .lines()
@@ -388,7 +401,7 @@ fn sweep_telemetry_without_jsonl_is_rejected() {
 
 #[test]
 fn sweep_folded_captures_the_cell_and_engine_spans() {
-    let folded_path = std::env::temp_dir().join("acfc_cli_sweep.folded");
+    let folded_path = scratch("sweep-folded").join("sweep.folded");
     let out = acfc(&[
         "compare",
         "programs/jacobi.mpsl",
@@ -451,7 +464,7 @@ fn report_serve_answers_a_loopback_scrape() {
 
 #[test]
 fn compare_profile_writes_a_merged_timeline() {
-    let path = std::env::temp_dir().join("acfc_cli_compare_profile.json");
+    let path = scratch("compare-profile").join("profile.json");
     let out = acfc(&[
         "compare",
         "programs/jacobi.mpsl",
@@ -560,7 +573,7 @@ fn mpmd_combines_role_files_into_checkable_spmd() {
     let text = stdout(&out);
     assert!(text.starts_with("program gather;"), "{text}");
     // The combined output is itself analyzable end to end.
-    let tmp = std::env::temp_dir().join("acfc_cli_mpmd.mpsl");
+    let tmp = scratch("mpmd").join("gather.mpsl");
     std::fs::write(&tmp, &text).unwrap();
     let run = acfc(&["run", tmp.to_str().unwrap(), "--analyze", "--nprocs", "4"]);
     assert!(run.status.success(), "{}", stdout(&run));
@@ -579,4 +592,54 @@ fn mpmd_rejects_bad_specs() {
     ]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("coverage"));
+}
+
+#[test]
+fn closed_stdout_ends_figures_and_compare_quietly() {
+    // The read end is closed before the child starts, so its first
+    // write to stdout fails with a broken pipe (`acfc figures | head`).
+    for args in [
+        &["figures"][..],
+        &["compare", "programs/jacobi.mpsl", "--nprocs", "2"],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_acfc"))
+            .args(args)
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn figures_rejects_flags_it_does_not_read() {
+    let out = acfc(&["figures", "--nprocs", "3", "--interval-us", "5"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("error: `figures` does not read --nprocs"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "{}", stdout(&out));
+}
+
+#[test]
+fn compare_rejects_interval_us() {
+    for mode in [&[][..], &["--sweep", "--seeds", "1"]] {
+        let mut args = vec!["compare", "programs/jacobi.mpsl", "--interval-us", "5"];
+        args.extend_from_slice(mode);
+        let out = acfc(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains("error:"), "{args:?}: {err}");
+        assert!(
+            err.contains("does not read --interval-us"),
+            "{args:?}: {err}"
+        );
+    }
 }
