@@ -210,11 +210,6 @@ impl Cfg {
         &self.nodes[id.index()]
     }
 
-    /// Mutable node data for `id`.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
-    }
-
     /// Successor edges of `id`.
     pub fn succs(&self, id: NodeId) -> &[(NodeId, EdgeLabel)] {
         &self.succs[id.index()]
@@ -257,11 +252,6 @@ impl Cfg {
         self.nodes_where(|k| matches!(k, NodeKind::Branch { .. }))
     }
 
-    /// A node is a *branch node* if it has more than one successor (§2).
-    pub fn is_branch(&self, id: NodeId) -> bool {
-        self.succs(id).len() > 1
-    }
-
     /// A node is a *join node* if it has more than one predecessor (§2).
     pub fn is_join(&self, id: NodeId) -> bool {
         self.preds(id).len() > 1
@@ -294,34 +284,6 @@ impl Cfg {
         self.add_edge(from, mid, label);
         self.add_edge(mid, to, EdgeLabel::Seq);
         mid
-    }
-
-    /// Removes a node that has exactly one predecessor and one successor
-    /// by splicing its neighbours together (used when Phase III lifts a
-    /// checkpoint node out of its old position).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node has other than exactly one in- and one out-edge,
-    /// or is entry/exit.
-    pub fn unlink_passthrough(&mut self, id: NodeId) {
-        assert!(
-            !matches!(self.node(id).kind, NodeKind::Entry | NodeKind::Exit),
-            "cannot unlink entry/exit"
-        );
-        assert_eq!(self.preds(id).len(), 1, "unlink: node must have 1 pred");
-        assert_eq!(self.succs(id).len(), 1, "unlink: node must have 1 succ");
-        let (p, plabel) = self.preds(id)[0];
-        let (s, _) = self.succs(id)[0];
-        self.remove_edge(p, id, plabel);
-        let (_, slabel) = self.succs(id)[0];
-        self.remove_edge(id, s, slabel);
-        // The node stays in the arena (ids are stable) but is now
-        // disconnected; re-wire around it. A parallel edge may already
-        // exist (e.g. empty if-branches), in which case we leave it be.
-        if !self.succs(p).contains(&(s, plabel)) {
-            self.add_edge(p, s, plabel);
-        }
     }
 
     /// Total number of edges.
@@ -417,19 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn unlink_passthrough_splices() {
-        let mut cfg = Cfg::new("t");
-        let a = cfg.add_node(NodeKind::Compute { cost: Expr::Int(1) }, None);
-        cfg.add_edge(cfg.entry(), a, EdgeLabel::Seq);
-        cfg.add_edge(a, cfg.exit(), EdgeLabel::Seq);
-        cfg.unlink_passthrough(a);
-        assert!(cfg.succs(a).is_empty());
-        assert!(cfg.preds(a).is_empty());
-        assert_eq!(cfg.succs(cfg.entry()), &[(cfg.exit(), EdgeLabel::Seq)]);
-        cfg.check_invariants().unwrap();
-    }
-
-    #[test]
     fn branch_and_join_classification() {
         let mut cfg = Cfg::new("t");
         let b = cfg.add_node(NodeKind::Branch { cond: Expr::Int(1) }, None);
@@ -438,8 +387,8 @@ mod tests {
         cfg.add_edge(b, j, EdgeLabel::True);
         cfg.add_edge(b, j, EdgeLabel::False);
         cfg.add_edge(j, cfg.exit(), EdgeLabel::Seq);
-        assert!(cfg.is_branch(b));
+        assert_eq!(cfg.branch_nodes(), vec![b]);
         assert!(cfg.is_join(j));
-        assert!(!cfg.is_branch(j));
+        assert!(!cfg.is_join(b));
     }
 }

@@ -48,5 +48,5 @@ pub use dominators::{dominators, dominators_naive, dominators_with, Dominators};
 pub use dot::{node_label, to_dot};
 pub use graph::{Cfg, EdgeLabel, Node, NodeId, NodeKind};
 pub use loops::{loop_info, loop_info_with, LoopInfo, NaturalLoop};
-pub use paths::{enumerate_simple_paths, find_path};
+pub use paths::find_path;
 pub use reach::Reach;

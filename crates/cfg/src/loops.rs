@@ -59,27 +59,6 @@ impl LoopInfo {
     pub fn in_loop(&self, n: NodeId) -> bool {
         self.depth[n.index()] > 0
     }
-
-    /// Loop nesting depth of `n`.
-    pub fn loop_depth(&self, n: NodeId) -> u32 {
-        self.depth[n.index()]
-    }
-
-    /// `true` iff the edge `(a, b)` is one of the backward edges.
-    pub fn is_back_edge(&self, a: NodeId, b: NodeId) -> bool {
-        let from = self.back_edges.partition_point(|&(x, _, _)| x < a);
-        self.back_edges[from..]
-            .iter()
-            .take_while(|&&(x, _, _)| x == a)
-            .any(|&(_, y, _)| y == b)
-    }
-
-    /// The innermost loops containing `n` (smallest member count first).
-    pub fn loops_containing(&self, n: NodeId) -> Vec<&NaturalLoop> {
-        let mut ls: Vec<&NaturalLoop> = self.loops.iter().filter(|l| l.contains(n)).collect();
-        ls.sort_by_key(|l| l.len());
-        ls
-    }
 }
 
 /// Computes backward edges and natural loops.
@@ -187,10 +166,11 @@ mod tests {
         let li = loop_info(&cfg);
         assert_eq!(li.loops.len(), 2);
         let chk = cfg.checkpoint_nodes()[0];
-        assert_eq!(li.loop_depth(chk), 2);
-        let inner = li.loops_containing(chk);
-        assert_eq!(inner.len(), 2);
-        assert!(inner[0].len() < inner[1].len());
+        let mut containing: Vec<&NaturalLoop> =
+            li.loops.iter().filter(|l| l.contains(chk)).collect();
+        containing.sort_by_key(|l| l.len());
+        assert_eq!(containing.len(), 2);
+        assert!(containing[0].len() < containing[1].len());
     }
 
     #[test]
@@ -200,15 +180,6 @@ mod tests {
         let li = loop_info(&cfg);
         assert_eq!(li.loops.len(), 1);
         assert!(li.in_loop(cfg.checkpoint_nodes()[0]));
-    }
-
-    #[test]
-    fn back_edge_membership_query() {
-        let (cfg, _) = build_cfg(&parse("program t; var i; while i < 3 { i := i + 1; }").unwrap());
-        let li = loop_info(&cfg);
-        let (a, b, _) = li.back_edges[0];
-        assert!(li.is_back_edge(a, b));
-        assert!(!li.is_back_edge(b, a));
     }
 
     #[test]

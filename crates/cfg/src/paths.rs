@@ -63,57 +63,6 @@ pub fn find_path(
     Some(path)
 }
 
-/// Enumerates up to `limit` *simple* paths (no repeated intermediate
-/// node) from `from` to `to`. Endpoints may coincide (cycles). Intended
-/// for diagnostics on small graphs; the search is depth-first with a
-/// hard cap.
-pub fn enumerate_simple_paths(
-    succs: &[Vec<usize>],
-    from: usize,
-    to: usize,
-    limit: usize,
-) -> Vec<Vec<usize>> {
-    let n = succs.len();
-    assert!(from < n && to < n, "node out of range");
-    let mut out = Vec::new();
-    let mut on_path = vec![false; n];
-    let mut path = vec![from];
-    fn go(
-        succs: &[Vec<usize>],
-        to: usize,
-        limit: usize,
-        on_path: &mut Vec<bool>,
-        path: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if out.len() >= limit {
-            return;
-        }
-        let cur = *path.last().expect("nonempty");
-        for &s in &succs[cur] {
-            if out.len() >= limit {
-                return;
-            }
-            if s == to && !path.is_empty() {
-                let mut p = path.clone();
-                p.push(s);
-                out.push(p);
-                continue;
-            }
-            if !on_path[s] && s != path[0] {
-                on_path[s] = true;
-                path.push(s);
-                go(succs, to, limit, on_path, path, out);
-                path.pop();
-                on_path[s] = false;
-            }
-        }
-    }
-    on_path[from] = true;
-    go(succs, to, limit, &mut on_path, &mut path, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,37 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn enumerate_finds_both_branches() {
-        let succs = vec![vec![1, 2], vec![3], vec![3], vec![]];
-        let paths = enumerate_simple_paths(&succs, 0, 3, 10);
-        assert_eq!(paths.len(), 2);
-        assert!(paths.contains(&vec![0, 1, 3]));
-        assert!(paths.contains(&vec![0, 2, 3]));
-    }
-
-    #[test]
-    fn enumerate_respects_limit() {
-        // Diamond chain with 2^4 paths.
-        let mut succs: Vec<Vec<usize>> = Vec::new();
-        // nodes: 0, then pairs (1,2),(3,4),(5,6),(7,8), sink 9
-        succs.push(vec![1, 2]);
-        for i in 0..4 {
-            let a = 1 + 2 * i;
-            let b = 2 + 2 * i;
-            let next: Vec<usize> = if i == 3 { vec![9] } else { vec![a + 2, b + 2] };
-            succs.push(next.clone()); // a
-            succs.push(next); // b
-        }
-        succs.push(vec![]); // 9
-        let paths = enumerate_simple_paths(&succs, 0, 9, 3);
-        assert_eq!(paths.len(), 3);
-    }
-
-    #[test]
     fn zero_length_is_never_a_path() {
         let succs = vec![vec![1], vec![]];
         // from == to with no cycle: none.
         assert!(find_path(&succs, 1, 1, &any).is_none());
-        assert!(enumerate_simple_paths(&succs, 1, 1, 10).is_empty());
     }
 }

@@ -1,15 +1,13 @@
 //! Human-readable explanations of analysis results.
 //!
 //! Condition-1 violations are paths in the extended CFG; raw node ids
-//! are opaque to users. This module renders violations — and the
-//! straight-cut structure — with source-level labels, in the style of
-//! the paper's worked examples ("the path
-//! ⟨C₁ᴮ, Send, Recv, while, C₁ᴬ⟩ …").
+//! are opaque to users. This module renders violations with
+//! source-level labels, in the style of the paper's worked examples
+//! ("the path ⟨C₁ᴮ, Send, Recv, while, C₁ᴬ⟩ …").
 
 use crate::condition::Violation;
-use crate::cuts::CheckpointIndex;
 use crate::extended::ExtendedCfg;
-use acfc_cfg::{node_label, NodeId};
+use acfc_cfg::node_label;
 use std::fmt::Write;
 
 /// Renders one violation with its witness path in source-level terms.
@@ -61,31 +59,12 @@ pub fn explain_violations(g: &ExtendedCfg, violations: &[Violation]) -> String {
     violations.iter().map(|v| explain_violation(g, v)).collect()
 }
 
-/// Renders the straight-cut structure: which checkpoint nodes form each
-/// `S_i`.
-pub fn explain_cuts(g: &ExtendedCfg, index: &CheckpointIndex) -> String {
-    let mut out = String::new();
-    let max = index.max_index();
-    for i in 1..=max {
-        let members: Vec<NodeId> = index.straight_cut(i);
-        let _ = write!(out, "S_{i} = {{");
-        for (k, n) in members.iter().enumerate() {
-            if k > 0 {
-                let _ = write!(out, ", ");
-            }
-            let _ = write!(out, "{}", node_label(&g.cfg, *n));
-        }
-        let _ = writeln!(out, "}}");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::compute_attrs;
     use crate::condition::{check_condition1, LoopPolicy};
-    use crate::cuts::index_checkpoints;
+    use crate::cuts::{index_checkpoints, CheckpointIndex};
     use crate::iddep::analyze_iddep;
     use crate::matching::{match_send_recv, MatchingMode};
     use acfc_cfg::build_cfg;
@@ -119,15 +98,6 @@ mod tests {
         let (g, _, v) = setup(&programs::jacobi(3));
         let text = explain_violations(&g, &v);
         assert!(text.contains("Condition 1 holds"));
-    }
-
-    #[test]
-    fn cut_structure_lists_members() {
-        let (g, idx, _) = setup(&programs::jacobi_odd_even(3));
-        let text = explain_cuts(&g, &idx);
-        assert!(text.starts_with("S_1 = {"));
-        // Two same-index checkpoints.
-        assert_eq!(text.matches("chkpt").count(), 2);
     }
 
     #[test]

@@ -166,21 +166,6 @@ impl ExtendedCfg {
         adj
     }
 
-    /// Adjacency of `Ĝ` minus CFG backward edges.
-    pub fn adjacency_forward(&self) -> Vec<Vec<usize>> {
-        let n = self.cfg.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (a, b, _) in self.cfg.edges() {
-            if !self.loops.is_back_edge(a, b) {
-                adj[a.index()].push(b.index());
-            }
-        }
-        for e in &self.message_edges {
-            adj[e.send.index()].push(e.recv.index());
-        }
-        adj
-    }
-
     /// Graphviz rendering with message edges dashed (Figure 4 style).
     pub fn to_dot(&self) -> String {
         let extra: Vec<(NodeId, NodeId)> = self
@@ -308,16 +293,12 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_shapes_agree_with_reach() {
+    fn full_adjacency_agrees_with_reach() {
         let g = extended(
             "program t; var i; for i in 0..2 { send to (rank+1)%nprocs; recv from (rank-1)%nprocs; checkpoint; }",
             4,
         );
         let full = g.adjacency_full();
-        let fwd = g.adjacency_forward();
-        let edge_count_full: usize = full.iter().map(|v| v.len()).sum();
-        let edge_count_fwd: usize = fwd.iter().map(|v| v.len()).sum();
-        assert!(edge_count_fwd < edge_count_full, "back edge removed");
         let r_full = acfc_cfg::Reach::compute(&full);
         for a in 0..full.len() {
             for b in 0..full.len() {

@@ -80,11 +80,6 @@ impl IdDepInfo {
     pub fn branch_class(&self, node: NodeId) -> Option<BranchClass> {
         self.classes.get(&node).copied()
     }
-
-    /// `true` iff `node` is an ID-dependent branch.
-    pub fn is_id_dependent(&self, node: NodeId) -> bool {
-        self.branch_class(node) == Some(BranchClass::IdDependent)
-    }
 }
 
 /// Runs the dataflow at a sample `n` (used only to classify branches;
@@ -247,7 +242,6 @@ mod tests {
         let (cfg, info) = info_for("program t; if rank % 2 == 0 { compute 1; }");
         let b = cfg.branch_nodes()[0];
         assert_eq!(info.branch_class(b), Some(BranchClass::IdDependent));
-        assert!(info.is_id_dependent(b));
     }
 
     #[test]
@@ -262,7 +256,6 @@ mod tests {
         let (cfg, info) = info_for("program t; var i; while i < 3 { i := i + 1; }");
         let b = cfg.branch_nodes()[0];
         assert_eq!(info.branch_class(b), Some(BranchClass::Unresolved));
-        assert!(!info.is_id_dependent(b));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod reanalysis;
 pub use attr::{compute_attrs, NodeAttrs, RankSet};
 pub use condition::{check_condition1, condition1_holds, LoopPolicy, Violation};
 pub use cuts::{index_checkpoints, CheckpointIndex, IndexRange};
-pub use explain::{explain_cuts, explain_violation, explain_violations};
+pub use explain::{explain_violation, explain_violations};
 pub use extended::ExtendedCfg;
 pub use iddep::{analyze_iddep, analyze_iddep_at, BranchClass, IdDepInfo};
 pub use matching::{match_send_recv, Matching, MatchingMode, MessageEdge};

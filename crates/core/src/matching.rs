@@ -85,26 +85,6 @@ pub struct Matching {
     pub unmatched_recvs: Vec<NodeId>,
 }
 
-impl Matching {
-    /// Message edges leaving `send`.
-    pub fn sends_of(&self, send: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .filter(|e| e.send == send)
-            .map(|e| e.recv)
-            .collect()
-    }
-
-    /// Message edges entering `recv`.
-    pub fn matches_of(&self, recv: NodeId) -> Vec<NodeId> {
-        self.edges
-            .iter()
-            .filter(|e| e.recv == recv)
-            .map(|e| e.send)
-            .collect()
-    }
-}
-
 /// Where a statement's peer expression (a send's destination, a
 /// receive's source) points at one rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -55,13 +55,6 @@ pub struct MultiNAnalysis {
     pub unsafe_at: Vec<(usize, usize)>,
 }
 
-impl MultiNAnalysis {
-    /// `true` when the placement is safe at every requested `n`.
-    pub fn safe_everywhere(&self) -> bool {
-        self.unsafe_at.is_empty()
-    }
-}
-
 /// Runs the pipeline at `reference_n` and re-checks the result at each
 /// count in `all_n`. The per-`n` re-checks are independent and run on
 /// [`configured_threads`] worker threads (`ACFC_THREADS` overrides);
@@ -135,7 +128,7 @@ mod tests {
             let r = analyze_for_all_n(&p, 8, &all_n, &cfg())
                 .unwrap_or_else(|e| panic!("{}: {e}", p.name));
             assert!(
-                r.safe_everywhere(),
+                r.unsafe_at.is_empty(),
                 "{}: unsafe at {:?}",
                 p.name,
                 r.unsafe_at
@@ -188,7 +181,7 @@ mod tests {
     #[test]
     fn multi_n_report_structure() {
         let r = analyze_for_all_n(&programs::pipeline_skewed(3), 8, &[2, 4, 6], &cfg()).unwrap();
-        assert!(r.safe_everywhere());
+        assert!(r.unsafe_at.is_empty());
         assert!(!r.analysis.moves.is_empty());
         assert_eq!(r.verified_at.len(), 3);
     }

@@ -14,7 +14,7 @@
 //!   CFG has the same number of checkpoint nodes."* Pads the lighter arm
 //!   of every unbalanced conditional with checkpoints.
 
-use acfc_mpsl::{eval, Block, Env, Expr, Program, Stmt, StmtId, StmtKind};
+use acfc_mpsl::{eval, Block, Env, Expr, Program, Stmt, StmtKind};
 
 /// Parameters for checkpoint insertion.
 #[derive(Debug, Clone)]
@@ -342,20 +342,6 @@ pub fn rebalance_checkpoints(program: &mut Program) -> (usize, usize) {
     (removed, added)
 }
 
-/// Convenience: the moved statement ids of all checkpoints inserted by
-/// Phase I (labels `phase1` / `equalize`).
-pub fn phase1_checkpoint_ids(program: &Program) -> Vec<StmtId> {
-    let mut out = Vec::new();
-    program.visit(&mut |s| {
-        if let StmtKind::Checkpoint { label: Some(l) } = &s.kind {
-            if l == "phase1" || l == "equalize" {
-                out.push(s.id);
-            }
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,7 +460,6 @@ mod tests {
         let added = equalize_checkpoints(&mut p);
         assert_eq!(added, 1);
         assert_eq!(static_count(&p.body), (2, 2));
-        assert_eq!(phase1_checkpoint_ids(&p).len(), 1);
     }
 
     #[test]

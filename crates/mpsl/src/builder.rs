@@ -57,14 +57,6 @@ pub mod e {
     pub fn sub(a: Expr, b: Expr) -> Expr {
         Expr::bin(BinOp::Sub, a, b)
     }
-    /// `a * b`
-    pub fn mul(a: Expr, b: Expr) -> Expr {
-        Expr::bin(BinOp::Mul, a, b)
-    }
-    /// `a / b`
-    pub fn div(a: Expr, b: Expr) -> Expr {
-        Expr::bin(BinOp::Div, a, b)
-    }
     /// `a % b` (Euclidean)
     pub fn modulo(a: Expr, b: Expr) -> Expr {
         Expr::bin(BinOp::Mod, a, b)
@@ -73,10 +65,6 @@ pub mod e {
     pub fn eq(a: Expr, b: Expr) -> Expr {
         Expr::bin(BinOp::Eq, a, b)
     }
-    /// `a != b`
-    pub fn ne(a: Expr, b: Expr) -> Expr {
-        Expr::bin(BinOp::Ne, a, b)
-    }
     /// `a < b`
     pub fn lt(a: Expr, b: Expr) -> Expr {
         Expr::bin(BinOp::Lt, a, b)
@@ -84,10 +72,6 @@ pub mod e {
     /// `a <= b`
     pub fn le(a: Expr, b: Expr) -> Expr {
         Expr::bin(BinOp::Le, a, b)
-    }
-    /// `a > b`
-    pub fn gt(a: Expr, b: Expr) -> Expr {
-        Expr::bin(BinOp::Gt, a, b)
     }
     /// `a >= b`
     pub fn ge(a: Expr, b: Expr) -> Expr {
@@ -171,13 +155,6 @@ impl BlockBuilder {
         self.push(StmtKind::Checkpoint { label: None })
     }
 
-    /// `checkpoint "label";`
-    pub fn checkpoint_labeled(&mut self, label: &str) -> &mut Self {
-        self.push(StmtKind::Checkpoint {
-            label: Some(label.to_string()),
-        })
-    }
-
     /// `if cond { then } else { els }`
     pub fn if_else(
         &mut self,
@@ -199,16 +176,6 @@ impl BlockBuilder {
     /// `if cond { then }`
     pub fn if_(&mut self, cond: Expr, then: impl FnOnce(&mut BlockBuilder)) -> &mut Self {
         self.if_else(cond, then, |_| {})
-    }
-
-    /// `while cond { body }`
-    pub fn while_(&mut self, cond: Expr, body: impl FnOnce(&mut BlockBuilder)) -> &mut Self {
-        let mut bb = BlockBuilder::default();
-        body(&mut bb);
-        self.push(StmtKind::While {
-            cond,
-            body: bb.stmts,
-        })
     }
 
     /// `for var in from..to { body }`

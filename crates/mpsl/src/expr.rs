@@ -160,11 +160,6 @@ pub enum RankVal {
 }
 
 impl RankVal {
-    /// `true` for [`RankVal::Known`].
-    pub fn is_known(self) -> bool {
-        matches!(self, RankVal::Known(_))
-    }
-
     fn join_op(op: BinOp, a: RankVal, b: RankVal) -> RankVal {
         match (a, b) {
             (RankVal::Known(x), RankVal::Known(y)) => match apply_bin(op, x, y) {

@@ -410,23 +410,6 @@ pub fn record(name: &'static str, value: u64) {
     let _ = (name, value);
 }
 
-/// Records `value` into the named registry histogram *and* adds it to
-/// the counter of the same name suffixed `_total` — the usual shape for
-/// "how much, how often" pairs like stall time.
-#[inline]
-pub fn record_total(name: &'static str, total_name: &'static str, value: u64) {
-    if !runtime_enabled() {
-        return;
-    }
-    #[cfg(feature = "enabled")]
-    {
-        registry::histogram(name).record(value);
-        registry::counter(total_name).add(value);
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, total_name, value);
-}
-
 /// A point-in-time copy of every registered metric (empty when the
 /// feature is off). Reading does not require the runtime flag, so a
 /// harness can disable, then snapshot, then report.

@@ -11,10 +11,11 @@
 
 use acfc_core::{analyze, Analysis, AnalysisConfig, AnalysisError};
 use acfc_mpsl::Program;
-use acfc_sim::{compile, Compiled, CutPicker, NoHooks};
+use acfc_sim::{compile, Compiled};
 
-/// A prepared application-driven deployment: the transformed program,
-/// its compiled form, and the recovery picker to use.
+/// A prepared application-driven deployment: the transformed program
+/// and its compiled form. It runs with no hooks ([`acfc_sim::NoHooks`]):
+/// that is the point of the paper.
 #[derive(Debug)]
 pub struct AppDriven {
     /// The full analysis result (report, extended CFG, moves).
@@ -35,30 +36,20 @@ impl AppDriven {
         let compiled = compile(&analysis.program);
         Ok(AppDriven { analysis, compiled })
     }
-
-    /// The runtime hooks: none. That is the point of the paper.
-    pub fn hooks(&self) -> NoHooks {
-        NoHooks
-    }
-
-    /// The recovery-line picker: aligned straight cuts.
-    pub fn picker(&self) -> CutPicker {
-        CutPicker::AlignedSeq
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use acfc_sim::{run_with_failures, FailurePlan, SimConfig, SimTime};
+    use crate::CheckpointCoordinator;
+    use acfc_sim::{run_with_failures, FailurePlan, NoHooks, SimConfig, SimTime};
 
     #[test]
     fn prepared_protocol_has_zero_runtime_overhead_sources() {
         let p = acfc_mpsl::programs::jacobi_odd_even(5);
         let ad = AppDriven::prepare(&p, 4).unwrap();
         let cfg = SimConfig::new(4);
-        let mut hooks = ad.hooks();
-        let t = acfc_sim::run_with_hooks(&ad.compiled, &cfg, &mut hooks);
+        let t = acfc_sim::run_with_hooks(&ad.compiled, &cfg, &mut NoHooks);
         assert!(t.completed());
         assert_eq!(t.metrics.control_messages, 0);
         assert_eq!(t.metrics.control_bits, 0);
@@ -73,12 +64,11 @@ mod tests {
         let p = acfc_mpsl::programs::jacobi_odd_even(6);
         let ad = AppDriven::prepare(&p, 2).unwrap();
         let cfg = SimConfig::new(2);
-        let mut hooks = ad.hooks();
         let plan = FailurePlan::at(vec![
             (SimTime::from_millis(120), 0),
             (SimTime::from_millis(260), 1),
         ]);
-        let t = run_with_failures(&ad.compiled, &cfg, &mut hooks, plan, ad.picker());
+        let t = run_with_failures(&ad.compiled, &cfg, &mut NoHooks, plan, NoHooks.picker());
         assert!(t.completed(), "{:?}", t.outcome);
         assert_eq!(t.failures.len(), 2);
         // The restored cuts were aligned: same seq in every process.

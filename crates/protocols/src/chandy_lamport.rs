@@ -23,11 +23,6 @@ pub fn cl_control_messages(n: usize) -> u64 {
     2 * (n as u64) * (n as u64 - 1)
 }
 
-/// Per-wave message overhead `M(C-L)` in microseconds, 8-bit markers.
-pub fn cl_message_overhead_us(n: usize, net: &NetworkModel) -> u64 {
-    cl_control_messages(n) * net.base_delay_us(8)
-}
-
 /// Chandy–Lamport protocol hooks.
 #[derive(Debug, Clone)]
 pub struct ChandyLamport {
@@ -121,12 +116,6 @@ mod tests {
     fn marker_count_formula() {
         assert_eq!(cl_control_messages(2), 4);
         assert_eq!(cl_control_messages(4), 24);
-        let net = NetworkModel {
-            setup_us: 50,
-            per_bit_ns: 0,
-            jitter_us: 0,
-        };
-        assert_eq!(cl_message_overhead_us(4, &net), 24 * 50);
     }
 
     #[test]

@@ -404,7 +404,7 @@ impl CicIndexing for HmnrIndexing {
 pub struct CicProtocol {
     timers: TimerCheckpoints,
     indexing: Box<dyn CicIndexing + Send>,
-    piggyback_bits: u64,
+    pub(crate) piggyback_bits: u64,
 }
 
 impl CicProtocol {
@@ -430,16 +430,6 @@ impl CicProtocol {
     /// Which member this is.
     pub fn variant(&self) -> CicVariant {
         self.indexing.variant()
-    }
-
-    /// Total piggybacked protocol payload over the run so far, bits.
-    pub fn piggyback_bits(&self) -> u64 {
-        self.piggyback_bits
-    }
-
-    /// Recovery-line picker matching this member's guarantee.
-    pub fn picker(&self) -> CutPicker {
-        self.variant().picker()
     }
 }
 
@@ -481,24 +471,10 @@ impl Hooks for CicProtocol {
     }
 }
 
-/// The pre-family name for the founding member, kept as a constructor
-/// shim: `IndexBasedCic::new` builds a [`CicProtocol`] running
-/// [`CicVariant::Index`].
-pub struct IndexBasedCic;
-
-impl IndexBasedCic {
-    /// See [`CicProtocol::new`]; the variant is [`CicVariant::Index`].
-    // Deliberately a constructor shim: the struct is an empty namespace
-    // and the built value is the family protocol.
-    #[allow(clippy::new_ret_no_self)]
-    pub fn new(nprocs: usize, interval_us: u64, skew_us: u64) -> CicProtocol {
-        CicProtocol::new(CicVariant::Index, nprocs, interval_us, skew_us)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::CheckpointCoordinator;
     use crate::depgraph::{max_consistent_line_of, useless_checkpoints, IntervalIndex};
     use acfc_sim::{compile, run_with_hooks, SimConfig};
 
@@ -540,7 +516,7 @@ mod tests {
     fn forced_checkpoints_precede_the_triggering_recv() {
         let p = acfc_mpsl::programs::pingpong(6);
         let cfg = SimConfig::new(2);
-        let mut hooks = IndexBasedCic::new(2, 15_000, 8_000);
+        let mut hooks = CicProtocol::new(CicVariant::Index, 2, 15_000, 8_000);
         let t = run_with_hooks(&compile(&p), &cfg, &mut hooks);
         assert!(t.completed());
         // Index invariant of the founding member: no received message

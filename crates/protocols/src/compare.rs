@@ -8,13 +8,9 @@
 //! checkpointing disabled entirely.
 
 use crate::app_driven::AppDriven;
-use crate::chandy_lamport::ChandyLamport;
-use crate::cic::{CicProtocol, CicVariant};
-use crate::depgraph::max_consistent_picker;
-use crate::sas::SyncAndStop;
-use crate::uncoordinated::{uncoordinated_hooks, uncoordinated_picker};
+use crate::cic::CicVariant;
 use acfc_mpsl::Program;
-use acfc_obs::{HistSnapshot, Quantiles};
+use acfc_obs::HistSnapshot;
 use acfc_sim::{
     compile, run_observed_with, run_with_hooks, Compiled, FailurePlan, Hooks, SimConfig, SimObs,
     SimTime, Trace,
@@ -409,30 +405,15 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// p50/p90/p99 upper bounds of message latency, µs.
-    pub fn latency_percentiles(&self) -> Quantiles {
-        self.latency.percentiles()
-    }
-
-    /// p50/p90/p99 upper bounds of event-queue depth.
-    pub fn queue_depth_percentiles(&self) -> Quantiles {
-        self.queue_depth.percentiles()
-    }
-
-    /// p50/p90/p99 upper bounds of the checkpoint interval, µs.
-    pub fn ckpt_interval_percentiles(&self) -> Quantiles {
-        self.ckpt_interval.percentiles()
-    }
-
     /// The run's stats as a flat JSON object (stable keys; `n` is the
     /// process count of the run). Returned as a
     /// [`Json`](acfc_util::bench::Json) builder so callers pick the
     /// layout — `render()` for pretty artifacts, `render_line()` for
     /// JSONL streams — instead of re-parsing a pre-rendered string.
     pub fn json(&self, n: usize) -> acfc_util::bench::Json {
-        let lat = self.latency_percentiles();
-        let qd = self.queue_depth_percentiles();
-        let ci = self.ckpt_interval_percentiles();
+        let lat = self.latency.percentiles();
+        let qd = self.queue_depth.percentiles();
+        let ci = self.ckpt_interval.percentiles();
         acfc_util::bench::Json::new()
             .num("n", n as f64)
             .str("protocol", self.protocol.name())
@@ -562,12 +543,6 @@ impl PreparedProgram {
     }
 }
 
-/// [`PreparedProgram::bare_makespan`] of `program`, prepared for this
-/// one run.
-pub fn bare_makespan(program: &Program, sim: &SimConfig) -> f64 {
-    PreparedProgram::new(program, sim.nprocs, &[]).bare_makespan(sim)
-}
-
 /// Runs `protocol` on `program` under `config` and returns its stats.
 ///
 /// The application-driven protocol runs the *transformed* program from
@@ -623,90 +598,41 @@ pub fn run_protocol_timeline(
     (trace, obs)
 }
 
-/// The shared protocol dispatch: one observed run under `protocol`.
-/// Returns the trace plus the protocol's piggybacked bits (nonzero
-/// only for the CIC family, which meters its own wire payload).
+/// One observed run under `protocol`, through the one protocol
+/// dispatch ([`ProtocolKind::coordinator`]). Returns the trace plus the
+/// protocol's piggybacked bits.
 fn run_protocol_observed(
     prepared: &PreparedProgram,
     protocol: ProtocolKind,
     config: &CompareConfig,
     obs: &mut SimObs,
 ) -> (Trace, u64) {
-    let n = config.sim.nprocs;
-    let compiled = &prepared.compiled;
-    match protocol {
+    let compiled = match protocol {
         ProtocolKind::AppDriven => {
-            let ad = prepared
+            &prepared
                 .app_driven
                 .as_ref()
-                .expect("the program was prepared for appl-driven runs");
-            let mut hooks = ad.hooks();
-            let trace = run_observed_with(
-                &ad.compiled,
-                &config.sim,
-                &mut hooks,
-                config.failures.clone(),
-                ad.picker(),
-                obs,
-            );
-            (trace, 0)
+                .expect("the program was prepared for appl-driven runs")
+                .compiled
         }
-        ProtocolKind::Uncoordinated => {
-            let mut hooks = uncoordinated_hooks(n, config.interval_us, config.skew_us);
-            let trace = run_observed_with(
-                compiled,
-                &config.sim,
-                &mut hooks,
-                config.failures.clone(),
-                uncoordinated_picker(),
-                obs,
-            );
-            (trace, 0)
-        }
-        ProtocolKind::SyncAndStop => {
-            let mut hooks = SyncAndStop::new(n, config.interval_us, config.sim.net.clone());
-            // The simulator approximates the wave stop with a stall, so
-            // in-flight messages can straddle a wave boundary on
-            // asymmetric workloads; restoring the maximal consistent
-            // line over the wave checkpoints (= latest-per-process when
-            // the wave is tight) keeps recovery orphan-free.
-            let trace = run_observed_with(
-                compiled,
-                &config.sim,
-                &mut hooks,
-                config.failures.clone(),
-                max_consistent_picker(),
-                obs,
-            );
-            (trace, 0)
-        }
-        ProtocolKind::ChandyLamport => {
-            let mut hooks = ChandyLamport::new(n, config.interval_us, config.sim.net.clone());
-            let trace = run_observed_with(
-                compiled,
-                &config.sim,
-                &mut hooks,
-                config.failures.clone(),
-                max_consistent_picker(),
-                obs,
-            );
-            (trace, 0)
-        }
-        ProtocolKind::Cic(variant) => {
-            let mut hooks = CicProtocol::new(variant, n, config.interval_us, config.skew_us);
-            let picker = hooks.picker();
-            let trace = run_observed_with(
-                compiled,
-                &config.sim,
-                &mut hooks,
-                config.failures.clone(),
-                picker,
-                obs,
-            );
-            let bits = hooks.piggyback_bits();
-            (trace, bits)
-        }
-    }
+        _ => &prepared.compiled,
+    };
+    let mut coordinator = protocol.coordinator(
+        config.sim.nprocs,
+        config.interval_us,
+        config.skew_us,
+        &config.sim.net,
+    );
+    let picker = coordinator.picker();
+    let trace = run_observed_with(
+        compiled,
+        &config.sim,
+        &mut *coordinator,
+        config.failures.clone(),
+        picker,
+        obs,
+    );
+    (trace, coordinator.piggyback_bits())
 }
 
 /// Runs every protocol on the workload against one shared bare
@@ -746,7 +672,7 @@ pub fn render_table(stats: &[RunStats]) -> String {
         "lat-p50/p90/p99"
     ));
     for s in stats {
-        let q = s.latency_percentiles();
+        let q = s.latency.percentiles();
         out.push_str(&format!(
             "{:<14} {:>8.3}s {:>8.3}s {:>9.4} {:>7} {:>7} {:>9} {:>8} {:>9.1} {:>6} {:>9.1} {:>17}\n",
             s.protocol.name(),
@@ -800,7 +726,7 @@ mod tests {
         // are ordered.
         for s in &stats {
             assert!(s.latency.count > 0, "{}", s.protocol.name());
-            let q = s.latency_percentiles();
+            let q = s.latency.percentiles();
             assert!(q.p50 <= q.p90 && q.p90 <= q.p99);
             assert!(s.queue_depth.count > 0);
         }

@@ -41,6 +41,7 @@ pub mod app_driven;
 pub mod chandy_lamport;
 pub mod cic;
 pub mod compare;
+pub mod coordinator;
 pub mod depgraph;
 pub mod domino;
 pub mod sas;
@@ -48,21 +49,21 @@ pub mod sweep;
 pub mod uncoordinated;
 
 pub use app_driven::AppDriven;
-pub use chandy_lamport::{cl_control_messages, cl_message_overhead_us, ChandyLamport};
-pub use cic::{CicIndexing, CicProtocol, CicVariant, IndexBasedCic};
+pub use chandy_lamport::{cl_control_messages, ChandyLamport};
+pub use cic::{CicIndexing, CicProtocol, CicVariant};
 pub use compare::{
-    bare_makespan, compare_all, estimated_run_mib, render_table, run_protocol,
-    run_protocol_against, run_protocol_timeline, CompareConfig, CompareConfigBuilder, ConfigError,
-    ParseProtocolError, PreparedProgram, ProtocolKind, RunStats, DEFAULT_MEMORY_BUDGET_MIB,
-    MAX_COMPARE_PROCS,
+    compare_all, estimated_run_mib, render_table, run_protocol, run_protocol_against,
+    run_protocol_timeline, CompareConfig, CompareConfigBuilder, ConfigError, ParseProtocolError,
+    PreparedProgram, ProtocolKind, RunStats, DEFAULT_MEMORY_BUDGET_MIB, MAX_COMPARE_PROCS,
 };
+pub use coordinator::CheckpointCoordinator;
 pub use depgraph::{
     max_consistent_line, max_consistent_line_from, max_consistent_line_of, max_consistent_picker,
     rollback_depths, useful_by_rollback, useless_checkpoints, useless_checkpoints_in,
     IntervalIndex,
 };
 pub use domino::{domino_report, domino_stream, DominoReport};
-pub use sas::{sas_control_messages, sas_message_overhead_us, SyncAndStop};
+pub use sas::{sas_control_messages, SyncAndStop};
 pub use sweep::{
     render_agg_json, run_sweep, run_sweep_threads, AggRow, CellSpec, CollectSink, JsonlSink,
     Progress, ProgressSink, RowSink, SweepArtifact, SweepPlan, SweepPlanBuilder, SweepRow,

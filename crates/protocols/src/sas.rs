@@ -22,12 +22,6 @@ pub fn sas_control_messages(n: usize) -> u64 {
     5 * (n as u64 - 1)
 }
 
-/// Per-wave message overhead `M(SaS)` in microseconds, with 8-bit
-/// control messages.
-pub fn sas_message_overhead_us(n: usize, net: &NetworkModel) -> u64 {
-    sas_control_messages(n) * net.base_delay_us(8)
-}
-
 /// SaS protocol hooks.
 #[derive(Debug, Clone)]
 pub struct SyncAndStop {
@@ -119,13 +113,6 @@ mod tests {
     fn control_message_formula() {
         assert_eq!(sas_control_messages(2), 5);
         assert_eq!(sas_control_messages(10), 45);
-        let net = NetworkModel {
-            setup_us: 100,
-            per_bit_ns: 1000, // 1 µs per bit
-            jitter_us: 0,
-        };
-        // (w_m + 8 w_b) = 108 µs; 5(n-1) with n=3 → 10 messages.
-        assert_eq!(sas_message_overhead_us(3, &net), 10 * 108);
     }
 
     #[test]

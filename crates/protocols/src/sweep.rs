@@ -38,6 +38,8 @@ use acfc_sim::{FailurePlan, SimConfig, SimTime};
 use acfc_util::bench::Json;
 use acfc_util::parallel::{configured_threads, par_for_each_ordered_labeled, par_map_labeled};
 use acfc_util::rng::mix64;
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -474,7 +476,7 @@ impl AggRow {
             coord.push(s.coord_stall_us as f64 / 1000.0);
             failures.push(s.failures as f64);
             lost.push(s.lost_us as f64 / 1000.0);
-            let q = s.latency_percentiles();
+            let q = s.latency.percentiles();
             lat_p50.push(q.p50 as f64);
             lat_p99.push(q.p99 as f64);
             latency.merge(&s.latency);
@@ -599,16 +601,22 @@ impl SweepSummary {
 /// A consumer of aggregate sweep rows, fed **in plan order, as cells
 /// complete** — the streaming replacement for buffer-everything sweep
 /// results. Rows arrive on the caller's thread, so sinks may hold
-/// writers and mutable state without synchronisation.
+/// writers and mutable state without synchronisation. A sink's first
+/// write error ends the sweep: no further cell starts and no sink is
+/// called again.
 pub trait RowSink {
     /// Called once before any row, with the plan about to run.
-    fn begin(&mut self, _plan: &SweepPlan) {}
+    fn begin(&mut self, _plan: &SweepPlan) -> io::Result<()> {
+        Ok(())
+    }
 
     /// Called once per cell, in plan order.
-    fn row(&mut self, row: &AggRow, progress: &Progress);
+    fn row(&mut self, row: &AggRow, progress: &Progress) -> io::Result<()>;
 
     /// Called once after the last row.
-    fn finish(&mut self, _summary: &SweepSummary) {}
+    fn finish(&mut self, _summary: &SweepSummary) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Renders rows as an aligned, CI-annotated text table (`mean±ci95`
@@ -630,8 +638,8 @@ impl<W: std::io::Write> TableSink<W> {
 }
 
 impl<W: std::io::Write> RowSink for TableSink<W> {
-    fn begin(&mut self, _plan: &SweepPlan) {
-        let _ = writeln!(
+    fn begin(&mut self, _plan: &SweepPlan) -> io::Result<()> {
+        writeln!(
             self.out,
             "{:<10} {:>3} {:>5} {:<14} {:>15} {:>15} {:>13} {:>11} {:>13} {:>15} {:>13} {:>9} {:>13} {:>11} {:>11}",
             "workload",
@@ -649,11 +657,11 @@ impl<W: std::io::Write> RowSink for TableSink<W> {
             "lost-ms",
             "lat-p50-µs",
             "lat-p99-µs",
-        );
+        )
     }
 
-    fn row(&mut self, r: &AggRow, _progress: &Progress) {
-        let _ = writeln!(
+    fn row(&mut self, r: &AggRow, _progress: &Progress) -> io::Result<()> {
+        writeln!(
             self.out,
             "{:<10} {:>3} {:>5.2} {:<14} {:>15} {:>15} {:>13} {:>11} {:>13} {:>15} {:>13} {:>9} {:>13} {:>11} {:>11}",
             r.workload,
@@ -671,18 +679,18 @@ impl<W: std::io::Write> RowSink for TableSink<W> {
             r.lost_ms.render(1),
             r.lat_p50_us.render(0),
             r.lat_p99_us.render(0),
-        );
+        )
     }
 
-    fn finish(&mut self, summary: &SweepSummary) {
-        let _ = writeln!(
+    fn finish(&mut self, summary: &SweepSummary) -> io::Result<()> {
+        writeln!(
             self.out,
             "{} cells, {} trials in {:.1}s ({:.2} cells/s)",
             summary.cells,
             summary.trials,
             summary.elapsed_secs,
             summary.cells_per_sec()
-        );
+        )
     }
 }
 
@@ -705,9 +713,9 @@ impl<W: std::io::Write> JsonlSink<W> {
 }
 
 impl<W: std::io::Write> RowSink for JsonlSink<W> {
-    fn row(&mut self, r: &AggRow, _progress: &Progress) {
-        let _ = writeln!(self.out, "{}", r.json().render_line());
-        let _ = self.out.flush();
+    fn row(&mut self, r: &AggRow, _progress: &Progress) -> io::Result<()> {
+        writeln!(self.out, "{}", r.json().render_line())?;
+        self.out.flush()
     }
 }
 
@@ -755,17 +763,17 @@ impl<W: std::io::Write> ProgressSink<W> {
 }
 
 impl<W: std::io::Write> RowSink for ProgressSink<W> {
-    fn begin(&mut self, plan: &SweepPlan) {
-        let _ = writeln!(
+    fn begin(&mut self, plan: &SweepPlan) -> io::Result<()> {
+        writeln!(
             self.out,
             "sweep: {} cells × {} seeds = {} trials",
             plan.total_cells(),
             plan.seeds_per_cell(),
             plan.total_trials()
-        );
+        )
     }
 
-    fn row(&mut self, _r: &AggRow, p: &Progress) {
+    fn row(&mut self, _r: &AggRow, p: &Progress) -> io::Result<()> {
         self.window.push_back((p.emitted, p.elapsed_secs));
         if self.window.len() > PROGRESS_WINDOW {
             self.window.pop_front();
@@ -776,7 +784,7 @@ impl<W: std::io::Write> RowSink for ProgressSink<W> {
         } else {
             0.0
         };
-        let _ = writeln!(
+        writeln!(
             self.out,
             "sweep: {}/{} cells ({:.0}%), {:.1}s elapsed, eta {:.1}s",
             p.emitted,
@@ -784,18 +792,18 @@ impl<W: std::io::Write> RowSink for ProgressSink<W> {
             p.emitted as f64 * 100.0 / p.total.max(1) as f64,
             p.elapsed_secs,
             eta
-        );
-        let _ = self.out.flush();
+        )?;
+        self.out.flush()
     }
 
-    fn finish(&mut self, s: &SweepSummary) {
-        let _ = writeln!(
+    fn finish(&mut self, s: &SweepSummary) -> io::Result<()> {
+        writeln!(
             self.out,
             "sweep: done — {} cells in {:.1}s ({:.2} cells/s)",
             s.cells,
             s.elapsed_secs,
             s.cells_per_sec()
-        );
+        )
     }
 }
 
@@ -808,8 +816,9 @@ pub struct CollectSink {
 }
 
 impl RowSink for CollectSink {
-    fn row(&mut self, r: &AggRow, _progress: &Progress) {
+    fn row(&mut self, r: &AggRow, _progress: &Progress) -> io::Result<()> {
         self.rows.push(r.clone());
+        Ok(())
     }
 }
 
@@ -882,14 +891,15 @@ impl<W: std::io::Write> TelemetrySink<W> {
 }
 
 impl<W: std::io::Write> RowSink for TelemetrySink<W> {
-    fn begin(&mut self, plan: &SweepPlan) {
+    fn begin(&mut self, plan: &SweepPlan) -> io::Result<()> {
         self.trials = plan.total_trials();
         self.wall.reset();
         self.workers.clear();
         self.slowest.clear();
+        Ok(())
     }
 
-    fn row(&mut self, r: &AggRow, p: &Progress) {
+    fn row(&mut self, r: &AggRow, p: &Progress) -> io::Result<()> {
         self.wall.record(p.cell_wall_us);
         if self.workers.len() <= p.worker {
             self.workers.resize(p.worker + 1, (0, 0));
@@ -910,9 +920,10 @@ impl<W: std::io::Write> RowSink for TelemetrySink<W> {
         self.slowest
             .sort_by_key(|c| (u64::MAX - c.wall_us, c.index));
         self.slowest.truncate(SLOWEST_KEPT);
+        Ok(())
     }
 
-    fn finish(&mut self, s: &SweepSummary) {
+    fn finish(&mut self, s: &SweepSummary) -> io::Result<()> {
         let q = self.wall.percentiles();
         let snap = self.wall.snap();
         let elapsed_us = (s.elapsed_secs * 1e6).max(1.0);
@@ -954,16 +965,21 @@ impl<W: std::io::Write> RowSink for TelemetrySink<W> {
             .raw("workers", format!("[{}]", workers.join(",")))
             .raw("slowest_cells", format!("[{}]", slowest.join(",")))
             .raw("stragglers", format!("[{}]", stragglers.join(",")));
-        let _ = writeln!(self.out, "{}", line.render_line());
-        let _ = self.out.flush();
+        writeln!(self.out, "{}", line.render_line())?;
+        self.out.flush()
     }
 }
 
 /// Executes the plan on [`configured_threads`] workers
 /// (`ACFC_THREADS` overrides), streaming aggregate rows to every sink
 /// in plan order. See [`run_sweep_threads`].
-pub fn run_sweep(plan: &SweepPlan, sinks: &mut [&mut dyn RowSink]) -> SweepSummary {
-    run_sweep_threads(plan, configured_threads(), sinks)
+///
+/// # Errors
+///
+/// Returns the first sink write error, which ended the sweep early.
+pub fn run_sweep(plan: &SweepPlan, sinks: &mut [&mut dyn RowSink]) -> io::Result<SweepSummary> {
+    let (summary, written) = sweep(plan, configured_threads(), sinks);
+    written.map(|()| summary)
 }
 
 /// A finished cell travelling from a worker to the reorder buffer:
@@ -1018,14 +1034,33 @@ fn worker_index() -> usize {
 ///    streaming during the run. Each cell's worker wall time and
 ///    worker index travel with the row via [`Progress`], feeding the
 ///    [`TelemetrySink`] without a second timing pass.
+///
+/// A sink's first write error ends the sweep early: no further cell
+/// starts, no sink is called again, and the summary counts the cells
+/// emitted before the error ([`run_sweep`] returns the error itself).
 pub fn run_sweep_threads(
     plan: &SweepPlan,
     threads: usize,
     sinks: &mut [&mut dyn RowSink],
 ) -> SweepSummary {
+    sweep(plan, threads, sinks).0
+}
+
+/// The body of [`run_sweep_threads`]: the summary plus the first sink
+/// write error, if any.
+fn sweep(
+    plan: &SweepPlan,
+    threads: usize,
+    sinks: &mut [&mut dyn RowSink],
+) -> (SweepSummary, io::Result<()>) {
     let t0 = Instant::now();
-    for sink in sinks.iter_mut() {
-        sink.begin(plan);
+    let summary = |cells: usize| SweepSummary {
+        cells,
+        trials: cells as u64 * plan.seeds_per_cell,
+        elapsed_secs: t0.elapsed().as_secs_f64(),
+    };
+    if let Err(e) = sinks.iter_mut().try_for_each(|sink| sink.begin(plan)) {
+        return (summary(0), Err(e));
     }
 
     // Phase 1: per (workload, n) block, the program prepared for every
@@ -1111,11 +1146,17 @@ pub fn run_sweep_threads(
     let cells = plan.cells();
     let total = cells.len();
     let mut emitted = 0usize;
+    let mut written = Ok(());
+    let stopped = AtomicBool::new(false);
     par_for_each_ordered_labeled(
         &cells,
         threads,
         "sweep",
         |_, cell| {
+            // After a sink error no further cell starts.
+            if stopped.load(Ordering::Relaxed) {
+                return None;
+            }
             let _cell_span = acfc_obs::span("protocols/sweep/cell");
             let cell_t0 = Instant::now();
             let workload = &plan.workloads[cell.workload];
@@ -1130,13 +1171,16 @@ pub fn run_sweep_threads(
             let paired: Vec<f64> = app.iter().map(|s| s.overhead_ratio).collect();
             let row =
                 AggRow::from_trials(workload.name(), cell, plan.seeds_per_cell, &stats, &paired);
-            CellOut {
+            Some(CellOut {
                 row,
                 wall_us: cell_t0.elapsed().as_micros() as u64,
                 worker: worker_index(),
-            }
+            })
         },
         |_, out| {
+            let Some(out) = out.filter(|_| written.is_ok()) else {
+                return;
+            };
             emitted += 1;
             let progress = Progress {
                 emitted,
@@ -1145,21 +1189,19 @@ pub fn run_sweep_threads(
                 cell_wall_us: out.wall_us,
                 worker: out.worker,
             };
-            for sink in sinks.iter_mut() {
-                sink.row(&out.row, &progress);
-            }
+            written = sinks
+                .iter_mut()
+                .try_for_each(|sink| sink.row(&out.row, &progress));
+            stopped.store(written.is_err(), Ordering::Relaxed);
         },
     );
-
-    let summary = SweepSummary {
-        cells: total,
-        trials: plan.total_trials(),
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-    };
-    for sink in sinks.iter_mut() {
-        sink.finish(&summary);
+    if written.is_err() {
+        return (summary(emitted - 1), written);
     }
-    summary
+
+    let summary = summary(total);
+    let written = sinks.iter_mut().try_for_each(|sink| sink.finish(&summary));
+    (summary, written)
 }
 
 /// Serialises aggregate rows as one JSON document (a `rows` array of
@@ -1387,6 +1429,48 @@ mod tests {
         let free = &collect.rows[0];
         assert_eq!(free.lambda, 0.0);
         assert_eq!(free.failures.mean, 0.0);
+    }
+
+    /// A writer that takes one line, then fails every write the way a
+    /// pipe does once its reader has gone.
+    #[derive(Default)]
+    struct OneLineThenBrokenPipe {
+        lines: usize,
+    }
+
+    impl io::Write for OneLineThenBrokenPipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.lines > 0 {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+            self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_sink_write_error_ends_the_sweep() {
+        let plan = SweepPlan::builder()
+            .ns([2usize])
+            .seeds_per_cell(1)
+            .failure_rates([0.0])
+            .build()
+            .unwrap();
+        for threads in [1, 2] {
+            let mut jsonl = JsonlSink::new(OneLineThenBrokenPipe::default());
+            let mut collect = CollectSink::default();
+            let summary = run_sweep_threads(&plan, threads, &mut [&mut jsonl, &mut collect]);
+            assert_eq!(summary.cells, 1, "threads={threads}");
+            assert_eq!(collect.rows.len(), 1, "threads={threads}");
+            assert!(collect.rows.len() < plan.total_cells());
+        }
+        let mut jsonl = JsonlSink::new(OneLineThenBrokenPipe::default());
+        let err = run_sweep(&plan, &mut [&mut jsonl]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]
@@ -1680,7 +1764,7 @@ mod tests {
                 cell_wall_us: 0,
                 worker: 0,
             };
-            sink.row(&row, &p);
+            sink.row(&row, &p).unwrap();
         }
         let text = String::from_utf8(sink.out).unwrap();
         let last = text.lines().last().unwrap();

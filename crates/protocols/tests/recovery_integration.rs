@@ -4,11 +4,12 @@
 
 use acfc_mpsl::{parse, programs};
 use acfc_protocols::{
-    uncoordinated_hooks, uncoordinated_picker, AppDriven, ChandyLamport, IndexBasedCic,
-    IntervalIndex, SyncAndStop,
+    uncoordinated_hooks, uncoordinated_picker, AppDriven, ChandyLamport, CheckpointCoordinator,
+    CicProtocol, CicVariant, IntervalIndex, SyncAndStop,
 };
 use acfc_sim::{
-    compile, run, run_with_failures, CutPicker, FailurePlan, Hooks, SimConfig, SimTime, Trace,
+    compile, run, run_with_failures, CutPicker, FailurePlan, Hooks, NoHooks, SimConfig, SimTime,
+    Trace,
 };
 
 fn storm() -> FailurePlan {
@@ -51,13 +52,12 @@ fn restored_lines_consistent(trace: &Trace) {
 fn app_driven_survives_a_failure_storm() {
     let p = programs::jacobi(8);
     let ad = AppDriven::prepare(&p, 3).unwrap();
-    let mut hooks = ad.hooks();
     let t = run_with_failures(
         &ad.compiled,
         &SimConfig::new(3),
-        &mut hooks,
+        &mut NoHooks,
         storm(),
-        ad.picker(),
+        NoHooks.picker(),
     );
     assert!(t.completed(), "{:?}", t.outcome);
     assert_eq!(t.metrics.failures, 3);
@@ -101,7 +101,7 @@ fn chandy_lamport_survives_a_failure_storm() {
 fn cic_survives_a_failure_storm_with_aligned_recovery() {
     let p = programs::jacobi(8);
     let cfg = SimConfig::new(3);
-    let mut hooks = IndexBasedCic::new(3, 40_000, 13_000);
+    let mut hooks = CicProtocol::new(CicVariant::Index, 3, 40_000, 13_000);
     let t = run_with_failures(
         &compile(&p),
         &cfg,
@@ -157,8 +157,7 @@ fn recovered_computation_produces_the_failure_free_state() {
             .clone()
     };
     let ad = AppDriven::prepare(&p, 3).unwrap();
-    let mut hooks = ad.hooks();
-    let failed = run_with_failures(&ad.compiled, &cfg, &mut hooks, storm(), ad.picker());
+    let failed = run_with_failures(&ad.compiled, &cfg, &mut NoHooks, storm(), NoHooks.picker());
     assert!(failed.completed(), "{:?}", failed.outcome);
     for proc in 0..3 {
         assert_eq!(

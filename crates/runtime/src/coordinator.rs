@@ -1,84 +1,18 @@
 //! Checkpoint coordinators: *when* a worker checkpoints.
 //!
-//! The decisions themselves — piggyback, on-receive, timers,
-//! coordination cost, against the worker's virtual cost-model clock —
-//! are the simulator's [`Hooks`], declared once and implemented once
-//! per protocol in `acfc-protocols`; both schedulers dispatch on the
-//! hooks object directly. [`CheckpointCoordinator`] adds the two things
-//! only a runtime asks of a protocol: its name for reports, and the
-//! recovery-line picker that matches its placement guarantees.
+//! [`CheckpointCoordinator`] — a protocol's simulator [`Hooks`] plus its
+//! name, recovery-line picker and piggyback meter — lives in
+//! `acfc-protocols`, built by the one protocol dispatch
+//! ([`ProtocolKind::coordinator`]) that the simulator's comparisons use
+//! too. Both runtime schedulers dispatch on the hooks object directly;
+//! this module pairs it with the program the protocol runs.
+//!
+//! [`Hooks`]: acfc_sim::Hooks
 
 use acfc_mpsl::Program;
-use acfc_protocols::{
-    max_consistent_picker, uncoordinated_hooks, uncoordinated_picker, AppDriven, ChandyLamport,
-    CicProtocol, ConfigError, ProtocolKind, SyncAndStop,
-};
-use acfc_sim::{compile, Compiled, CutPicker, Hooks, NetworkModel, NoHooks, TimerCheckpoints};
-
-/// A protocol's [`Hooks`] plus what a runtime needs around them. `Send`
-/// because the free-running scheduler shares the coordinator between
-/// worker threads (behind a mutex).
-pub trait CheckpointCoordinator: Hooks + Send {
-    /// Short stable identifier for reports and the CLI
-    /// ([`ProtocolKind::name`]).
-    fn name(&self) -> &'static str;
-
-    /// A fresh recovery-line picker consistent with this protocol's
-    /// checkpoint placement guarantees.
-    fn picker(&self) -> CutPicker;
-}
-
-/// The application-driven protocol: no hooks, straight-cut recovery.
-impl CheckpointCoordinator for NoHooks {
-    fn name(&self) -> &'static str {
-        ProtocolKind::AppDriven.name()
-    }
-
-    fn picker(&self) -> CutPicker {
-        CutPicker::AlignedSeq
-    }
-}
-
-/// The uncoordinated protocol: independent skewed timers.
-impl CheckpointCoordinator for TimerCheckpoints {
-    fn name(&self) -> &'static str {
-        ProtocolKind::Uncoordinated.name()
-    }
-
-    fn picker(&self) -> CutPicker {
-        uncoordinated_picker()
-    }
-}
-
-impl CheckpointCoordinator for SyncAndStop {
-    fn name(&self) -> &'static str {
-        ProtocolKind::SyncAndStop.name()
-    }
-
-    fn picker(&self) -> CutPicker {
-        max_consistent_picker()
-    }
-}
-
-impl CheckpointCoordinator for ChandyLamport {
-    fn name(&self) -> &'static str {
-        ProtocolKind::ChandyLamport.name()
-    }
-
-    fn picker(&self) -> CutPicker {
-        max_consistent_picker()
-    }
-}
-
-impl CheckpointCoordinator for CicProtocol {
-    fn name(&self) -> &'static str {
-        self.variant().name()
-    }
-
-    fn picker(&self) -> CutPicker {
-        self.variant().picker()
-    }
-}
+pub use acfc_protocols::CheckpointCoordinator;
+use acfc_protocols::{AppDriven, ConfigError, ProtocolKind};
+use acfc_sim::{compile, Compiled, NetworkModel};
 
 /// The program and coordinator to actually run: the application-driven
 /// protocol executes the analysis-transformed program, every other
@@ -90,10 +24,10 @@ pub struct PreparedRun {
     pub coordinator: Box<dyn CheckpointCoordinator>,
 }
 
-/// Builds the coordinator (and the program it runs) for `kind`,
-/// mirroring the simulator's protocol dispatch: the same constructor
-/// arguments, the same pickers, the same transformed program for the
-/// application-driven protocol.
+/// Builds the coordinator (and the program it runs) for `kind` through
+/// [`ProtocolKind::coordinator`]: the application-driven protocol runs
+/// the program its offline analysis transformed, every other protocol
+/// the program as written.
 ///
 /// # Errors
 ///
@@ -115,31 +49,17 @@ pub fn coordinator_for(
     if interval_us == 0 && kind != ProtocolKind::AppDriven {
         return Err(ConfigError::ZeroInterval.to_string());
     }
-    let (compiled, coordinator): (Compiled, Box<dyn CheckpointCoordinator>) = match kind {
+    let compiled = match kind {
         ProtocolKind::AppDriven => {
-            let ad = AppDriven::prepare(program, nprocs).map_err(|e| e.to_string())?;
-            (ad.compiled, Box::new(NoHooks))
+            AppDriven::prepare(program, nprocs)
+                .map_err(|e| e.to_string())?
+                .compiled
         }
-        ProtocolKind::Uncoordinated => (
-            compile(program),
-            Box::new(uncoordinated_hooks(nprocs, interval_us, skew_us)),
-        ),
-        ProtocolKind::SyncAndStop => (
-            compile(program),
-            Box::new(SyncAndStop::new(nprocs, interval_us, net)),
-        ),
-        ProtocolKind::ChandyLamport => (
-            compile(program),
-            Box::new(ChandyLamport::new(nprocs, interval_us, net)),
-        ),
-        ProtocolKind::Cic(variant) => (
-            compile(program),
-            Box::new(CicProtocol::new(variant, nprocs, interval_us, skew_us)),
-        ),
+        _ => compile(program),
     };
     Ok(PreparedRun {
         compiled,
-        coordinator,
+        coordinator: kind.coordinator(nprocs, interval_us, skew_us, &net),
     })
 }
 
@@ -152,9 +72,12 @@ mod tests {
     fn every_protocol_kind_builds_a_coordinator() {
         let program = programs::jacobi(3);
         for kind in ProtocolKind::all() {
-            let prep = coordinator_for(kind, &program, 4, 60_000, 20_000, NetworkModel::default())
-                .unwrap_or_else(|e| panic!("{kind}: {e}"));
+            let mut prep =
+                coordinator_for(kind, &program, 4, 60_000, 20_000, NetworkModel::default())
+                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(prep.coordinator.name(), kind.name());
+            assert_eq!(prep.coordinator.passive(), kind == ProtocolKind::AppDriven);
+            assert_eq!(prep.coordinator.piggyback_bits(), 0);
             assert!(!prep.compiled.is_empty());
             // The picker builds without panicking.
             let _ = prep.coordinator.picker();

@@ -29,7 +29,6 @@ use crate::trace::{
     StmtInstances, Trace, VarStore,
 };
 use acfc_mpsl::StmtId;
-use acfc_obs::LocalHist;
 use acfc_util::rng::Rng;
 use std::sync::Arc;
 
@@ -519,13 +518,6 @@ struct Engine<'a> {
     run_ahead_hits: u64,
     /// Per-process simulated compute µs, same unconditional scheme.
     compute_us: Vec<u64>,
-    /// Event-queue depth, systematically sampled at every 8th pop —
-    /// engine-owned and unconditional (a `&7` test plus one bucket add
-    /// on the sampled pop), so the resulting histogram reaches the
-    /// [`Trace`] on every run and is *merged* (not re-recorded) into
-    /// [`SimObs`] at flush: the observed and post-hoc views agree
-    /// bucket-for-bucket by construction.
-    queue_depth: LocalHist,
 }
 
 /// The attached durable store, the reusable portable snapshot of each
@@ -632,7 +624,6 @@ impl<'a> Engine<'a> {
             events_processed: 0,
             run_ahead_hits: 0,
             compute_us: vec![0; n],
-            queue_depth: LocalHist::new(),
         };
         for p in 0..n {
             engine.push(SimTime::ZERO, Ev::Ready { p, epoch: 0 });
@@ -666,7 +657,9 @@ impl<'a> Engine<'a> {
             self.note_time(t);
             self.events_processed += 1;
             if self.events_processed & 7 == 0 {
-                self.queue_depth.record(self.queue.len() as u64);
+                if let Some(o) = self.obs.as_deref_mut() {
+                    o.queue_depth.record(self.queue.len() as u64);
+                }
             }
             match ev {
                 Ev::Ready { p, epoch } => {
@@ -710,7 +703,6 @@ impl<'a> Engine<'a> {
                 Some(d) => d.payload.len() as u64,
                 None => self.metrics.app_messages * self.config.nprocs as u64,
             };
-            o.queue_depth.merge(&self.queue_depth);
             for (p, &us) in self.compute_us.iter().enumerate() {
                 o.per_proc[p].compute_us += us;
             }
@@ -732,7 +724,6 @@ impl<'a> Engine<'a> {
             proc_end: self.procs.now.clone(),
             finished_at: self.max_time,
             metrics: self.metrics,
-            queue_depth: self.queue_depth.snap(),
             outcome,
         }
     }

@@ -1,40 +1,13 @@
 //! Plain-text export of traces.
 //!
 //! The simulator's traces are the evidence base for every claim in this
-//! reproduction; these exporters render them as TSV (for spreadsheets
-//! and plotting) and as a space-time diagram description, so a run can
-//! be inspected without writing Rust. No serialisation dependency is
-//! used on purpose — the formats are trivial and stable.
+//! reproduction; these exporters render them as a run summary, the
+//! golden-file format and a space-time diagram description, so a run
+//! can be inspected without writing Rust. No serialisation dependency
+//! is used on purpose — the formats are trivial and stable.
 
 use crate::trace::{CkptTrigger, Trace};
 use std::fmt::Write;
-
-/// Messages as TSV: one row per message with send/receive timing.
-pub fn messages_tsv(trace: &Trace) -> String {
-    let mut out = String::from(
-        "id\tfrom\tto\tbits\tsent_s\tdelivered_s\treceived_s\tpiggyback\trolled_back\n",
-    );
-    for m in &trace.messages {
-        let fmt_opt = |t: Option<crate::time::SimTime>| {
-            t.map(|x| format!("{:.6}", x.as_secs_f64()))
-                .unwrap_or_else(|| "-".into())
-        };
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{:.6}\t{}\t{}\t{}\t{}",
-            m.id.0,
-            m.from,
-            m.to,
-            m.size_bits,
-            m.sent_at.as_secs_f64(),
-            fmt_opt(m.delivered_at),
-            fmt_opt(m.recv_at),
-            m.piggyback,
-            m.rolled_back,
-        );
-    }
-    out
-}
 
 fn trigger_tag(t: CkptTrigger) -> &'static str {
     match t {
@@ -43,26 +16,6 @@ fn trigger_tag(t: CkptTrigger) -> &'static str {
         CkptTrigger::Forced => "forced",
         CkptTrigger::Coordinated => "coordinated",
     }
-}
-
-/// Checkpoints as TSV: one row per checkpoint with its vector clock.
-pub fn checkpoints_tsv(trace: &Trace) -> String {
-    let mut out = String::from("proc\tseq\ttrigger\tlabel\tstart_s\tdurable_s\tvc\trolled_back\n");
-    for c in &trace.checkpoints {
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{:.6}\t{:.6}\t{}\t{}",
-            c.proc,
-            c.seq,
-            trigger_tag(c.trigger),
-            c.label.as_deref().unwrap_or("-"),
-            c.start.as_secs_f64(),
-            c.durable_at.as_secs_f64(),
-            c.vc,
-            c.rolled_back,
-        );
-    }
-    out
 }
 
 /// A compact, human-readable run summary.
@@ -264,27 +217,6 @@ mod tests {
 
     fn trace() -> Trace {
         run(&compile(&programs::pingpong(2)), &SimConfig::new(2))
-    }
-
-    #[test]
-    fn messages_tsv_has_row_per_message() {
-        let t = trace();
-        let tsv = messages_tsv(&t);
-        assert_eq!(tsv.lines().count(), t.messages.len() + 1);
-        assert!(tsv.starts_with("id\tfrom\tto"));
-        // Every live message was received: no dangling "-" receive.
-        for line in tsv.lines().skip(1) {
-            assert!(!line.contains("\t-\t-\t"), "{line}");
-        }
-    }
-
-    #[test]
-    fn checkpoints_tsv_has_row_per_checkpoint() {
-        let t = trace();
-        let tsv = checkpoints_tsv(&t);
-        assert_eq!(tsv.lines().count(), t.checkpoints.len() + 1);
-        assert!(tsv.contains("app"));
-        assert!(tsv.contains('⟨'), "vector clocks rendered");
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod hooks;
 pub mod obs;
 pub mod perfetto;
 pub mod runlog;
-pub mod stats;
 pub mod step;
 pub mod time;
 pub mod trace;
@@ -69,7 +68,7 @@ pub use engine::{
     run, run_observed, run_observed_with, run_with_backend, run_with_failures, run_with_hooks,
 };
 pub use equeue::{CalendarQueue, SortedVecQueue};
-pub use export::{checkpoints_tsv, golden, messages_tsv, spacetime, summary};
+pub use export::{golden, spacetime, summary};
 pub use failure::{CutPicker, FailurePlan, PickerFn, RecoveryView};
 pub use hooks::{
     CoordinationCost, Hooks, NoHooks, RecvAction, TimerCheckpoints, FORCED_RUNAWAY,
@@ -78,7 +77,6 @@ pub use hooks::{
 pub use obs::{ProcObs, SimObs};
 pub use perfetto::{merged_timeline, merged_timeline_json, timeline, timeline_json, MergedRun};
 pub use runlog::{trigger_name, RunEvent, RunLog};
-pub use stats::{render_stats, trace_stats, ProcBreakdown, TraceStats};
 pub use time::SimTime;
 pub use trace::{
     CheckpointRecord, CkptTrigger, FailureRecord, MessageRecord, Metrics, MsgId, Outcome, Snapshot,

@@ -79,20 +79,14 @@ pub struct SimObs {
     /// Recording every pop costs ~2% of engine throughput; 1-in-8
     /// sampling keeps it out of the event budget, and the simulator is
     /// deterministic so the sampled distribution is reproducible run
-    /// to run. The engine samples into its own histogram and *merges*
-    /// it here at flush — the same buckets also land in
-    /// [`Trace::queue_depth`](crate::trace::Trace::queue_depth), so the
-    /// observed and post-hoc views agree exactly.
+    /// to run. Runs without a collector sample nothing.
     pub queue_depth: LocalHist,
-    /// Message latency (receive completion minus send), µs — the same
-    /// definition as [`crate::stats::TraceStats::mean_latency_us`].
+    /// Message latency (receive completion minus send), µs, of every
+    /// consumed message.
     pub msg_latency_us: LocalHist,
     /// Interval between consecutive checkpoint *starts* of the same
-    /// process, µs — the online twin of
-    /// [`crate::stats::TraceStats::mean_ckpt_interval_us`]. Recorded as
-    /// checkpoints happen, so on a run with rollbacks it also counts
-    /// checkpoints that are later rolled back (the post-hoc trace stats
-    /// count live checkpoints only).
+    /// process, µs. Recorded as checkpoints happen, so on a run with
+    /// rollbacks it also counts checkpoints that are later rolled back.
     pub ckpt_interval_us: LocalHist,
     /// Blocked-in-`recv` intervals (timeline mode only).
     pub blocked: Vec<Interval>,
@@ -171,5 +165,115 @@ impl SimObs {
         acfc_obs::record("sim/queue_depth_max", self.queue_depth.snap().max);
         acfc_obs::record("sim/msg_latency_us_max", self.msg_latency_us.snap().max);
         acfc_obs::record("sim/ckpt_interval_us_max", self.ckpt_interval_us.snap().max);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bytecode::compile;
+    use crate::config::SimConfig;
+    use crate::engine::run_observed;
+    use crate::trace::Trace;
+    use acfc_mpsl::programs;
+
+    /// The post-hoc oracle: message latencies of the live messages and
+    /// start-to-start intervals of each process's live checkpoints,
+    /// folded from the finished trace.
+    fn fold_trace(trace: &Trace) -> (LocalHist, LocalHist) {
+        let mut latency = LocalHist::new();
+        for m in trace.live_messages() {
+            if let Some(at) = m.recv_at {
+                latency.record(at.saturating_sub(m.sent_at).as_micros());
+            }
+        }
+        let mut intervals = LocalHist::new();
+        for p in 0..trace.nprocs {
+            for w in trace.live_checkpoints(p).windows(2) {
+                intervals.record(w[1].start.saturating_sub(w[0].start).as_micros());
+            }
+        }
+        (latency, intervals)
+    }
+
+    /// The collector's probes and a fold over the finished trace are two
+    /// independent derivations of the same run; where they measure the
+    /// same quantity they must agree exactly.
+    #[test]
+    fn counters_agree_with_a_fold_over_the_trace() {
+        let compiled = compile(&programs::jacobi(5));
+        let cfg = SimConfig::new(4);
+        let mut obs = SimObs::counters();
+        let t = run_observed(&compiled, &cfg, &mut obs);
+        assert!(t.completed());
+        let (latency, intervals) = fold_trace(&t);
+
+        // Every live message was delivered and consumed exactly once,
+        // and the online histogram saw the identical multiset of
+        // latencies, bucket for bucket.
+        assert_eq!(obs.messages_delivered, t.live_messages().count() as u64);
+        assert_eq!(obs.msg_latency_us, latency);
+        assert!(latency.snap().count > 0);
+
+        // Failure-free, so the online (all-checkpoints) and post-hoc
+        // (live-checkpoints) interval histograms are the same.
+        assert_eq!(obs.ckpt_interval_us, intervals);
+
+        // Blocked time: the collector attributes per process what the
+        // engine metric accumulates globally, at the same probe site.
+        let blocked: u64 = obs.per_proc.iter().map(|p| p.blocked_us).sum();
+        assert_eq!(blocked, t.metrics.recv_blocked_us);
+
+        // Checkpoint stalls: obs records o + coordination per
+        // checkpoint, the metric the same total.
+        let ckpt: u64 = obs.per_proc.iter().map(|p| p.ckpt_us).sum();
+        assert_eq!(ckpt, t.metrics.ckpt_stall_us);
+
+        // The engine popped at least one event per delivered message
+        // and ran ahead at least once on this workload.
+        assert!(obs.events_processed >= obs.messages_delivered);
+        assert!(obs.run_ahead_hits > 0);
+        // Queue depth is systematically sampled at 1-in-8 event pops.
+        let qd = obs.queue_depth.snap();
+        assert_eq!(qd.count, obs.events_processed / 8);
+        assert!(qd.count > 0, "workload too small to sample the queue");
+    }
+
+    /// Pins the collector on a hand-computed deterministic run:
+    /// `pingpong(2)` at 2 procs with jitter zeroed.
+    ///
+    /// Per message (64 bits): the receiver is already blocked when the
+    /// message arrives, so `recv_at − sent_at` is exactly the network
+    /// delay plus one instruction overhead —
+    /// `setup (100) + 64·1ns/1000 (0) + instr (1) = 101 µs`.
+    /// Per checkpoint: a stall of `o = 2000 µs`, one checkpoint per
+    /// iteration per process.
+    #[test]
+    fn pinned_on_jitter_free_pingpong() {
+        let mut cfg = SimConfig::new(2);
+        cfg.net.jitter_us = 0;
+        let mut obs = SimObs::counters();
+        let t = run_observed(&compile(&programs::pingpong(2)), &cfg, &mut obs);
+        assert!(t.completed());
+        // 2 iterations × (ping + pong), every one exactly 101 µs, so
+        // all three percentiles land on the [64,128) bucket's upper
+        // edge.
+        let lat = obs.msg_latency_us.snap();
+        assert_eq!(lat.count, 4);
+        assert_eq!(lat.mean(), 101.0);
+        assert_eq!(lat.max, 101);
+        let q = lat.percentiles();
+        assert_eq!((q.p50, q.p90, q.p99), (128, 128, 128));
+        for p in 0..2 {
+            assert_eq!(obs.per_proc[p].ckpt_us, 2 * 2000, "P{p}");
+        }
+        // One interval per process (2 checkpoints each), each at least
+        // one round trip (2 × 101 µs) plus the previous iteration's
+        // 2000 µs checkpoint stall.
+        let ivl = obs.ckpt_interval_us.snap();
+        assert_eq!(ivl.count, 2);
+        assert!(ivl.mean() > 2.0 * 101.0 + 2000.0);
+        let q = ivl.percentiles();
+        assert!(q.p50 > 0 && q.p50 <= q.p99);
     }
 }

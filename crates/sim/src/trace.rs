@@ -9,7 +9,6 @@
 use crate::clock::VectorClock;
 use crate::time::SimTime;
 use acfc_mpsl::StmtId;
-use acfc_obs::HistSnapshot;
 use std::sync::Arc;
 
 /// Identifier of a message within a trace (index into
@@ -48,26 +47,6 @@ pub struct VarStore {
 }
 
 impl VarStore {
-    /// Wraps one process's slot rows without copying the shared parts:
-    /// `names` is the compile-time slot table and `bound` the process's
-    /// binding row, both refcounted across every snapshot that sees
-    /// them unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the three rows have one entry per slot.
-    pub fn from_slots(names: Arc<[String]>, values: Vec<i64>, bound: Arc<[bool]>) -> VarStore {
-        assert!(
-            names.len() == values.len() && names.len() == bound.len(),
-            "slot rows differ in length"
-        );
-        VarStore {
-            names,
-            values,
-            bound,
-        }
-    }
-
     /// The value row, one entry per slot (bound or not).
     pub fn values(&self) -> &[i64] {
         &self.values
@@ -374,13 +353,6 @@ pub struct Trace {
     pub finished_at: SimTime,
     /// Aggregate counters.
     pub metrics: Metrics,
-    /// Event-queue depth sampled by the engine at every 8th event pop
-    /// (the same systematic 1-in-8 cadence as the observed path), so
-    /// post-hoc [`trace_stats`](crate::stats::trace_stats) exposes the
-    /// identical queue-depth histogram as a live `SimObs` — bucket for
-    /// bucket, by construction. Empty for traces built by engines that
-    /// predate the field (e.g. the pre-lowering baseline).
-    pub queue_depth: HistSnapshot,
     /// How the run ended.
     pub outcome: Outcome,
 }

@@ -11,8 +11,8 @@
 //! cargo run --example domino_effect
 //! ```
 
-use acfc_protocols::{domino_report, domino_stream, AppDriven};
-use acfc_sim::{compile, run, run_with_failures, FailurePlan, SimConfig, SimTime};
+use acfc_protocols::{domino_report, domino_stream, AppDriven, CheckpointCoordinator};
+use acfc_sim::{compile, run, run_with_failures, FailurePlan, NoHooks, SimConfig, SimTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rounds = 10;
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // What that means when a failure actually happens: recover with the
     // maximal-consistent-line picker and watch the lost work.
     let plan = FailurePlan::at(vec![(SimTime::from_millis(80), 1)]);
-    let mut hooks = acfc_sim::NoHooks;
+    let mut hooks = NoHooks;
     let t = run_with_failures(
         &compile(&program),
         &SimConfig::new(2),
@@ -62,14 +62,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  checkpoints discarded (domino):  {:?}", rep.depths);
     assert!(rep.depths.iter().all(|&d| d == 0));
 
-    let mut hooks = ad.hooks();
-    let t = run_with_failures(
-        &ad.compiled,
-        &SimConfig::new(2),
-        &mut hooks,
-        plan,
-        ad.picker(),
-    );
+    // The application-driven coordinator's picker: straight cuts.
+    let picker = hooks.picker();
+    let t = run_with_failures(&ad.compiled, &SimConfig::new(2), &mut hooks, plan, picker);
     assert!(t.completed());
     let f = &t.failures[0];
     println!(

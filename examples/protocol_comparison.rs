@@ -9,8 +9,8 @@
 
 use acfc_mpsl::programs;
 use acfc_perfmodel::{figure8, ModelParams};
-use acfc_protocols::{compare_all, render_table, CompareConfig};
-use acfc_sim::{FailurePlan, SimTime};
+use acfc_protocols::{compare_all, render_table, AppDriven, CompareConfig};
+use acfc_sim::{run_observed, FailurePlan, SimConfig, SimObs, SimTime};
 
 fn main() {
     let n = std::env::args()
@@ -51,14 +51,19 @@ fn main() {
         by("uncoordinated").max_rollback_depth
     );
 
-    // Utilisation breakdown of the application-driven run.
-    {
-        use acfc_protocols::AppDriven;
-        use acfc_sim::{render_stats, run, trace_stats};
-        let ad = AppDriven::prepare(&program, n.min(128)).expect("analysis");
-        let t = run(&ad.compiled, &acfc_sim::SimConfig::new(n));
-        println!("\nappl-driven utilisation (failure-free):");
-        print!("{}", render_stats(&trace_stats(&t)));
+    // Utilisation breakdown of the application-driven run, per process
+    // as the engine's probes measured it.
+    let ad = AppDriven::prepare(&program, n.min(128)).expect("analysis");
+    let mut obs = SimObs::counters();
+    run_observed(&ad.compiled, &SimConfig::new(n), &mut obs);
+    println!("\nappl-driven utilisation (failure-free):");
+    for (p, t) in obs.per_proc.iter().enumerate() {
+        println!(
+            "  P{p}: compute {:.1} ms, blocked {:.1} ms, checkpoint stall {:.1} ms",
+            t.compute_us as f64 / 1000.0,
+            t.blocked_us as f64 / 1000.0,
+            t.ckpt_us as f64 / 1000.0
+        );
     }
 
     // Analytic model at the same n, for comparison of the shape.

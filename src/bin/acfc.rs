@@ -82,6 +82,7 @@ use acfc::mpsl::{parse, to_source, validate};
 use acfc::perfmodel::{
     figure8, figure8_default_ns, figure9, figure9_default_wms, to_tsv, ModelParams,
 };
+use acfc::protocols::{RowSink, SweepPlan, TableSink};
 use acfc::sim::{compile, consistency, run, run_observed, SimConfig, SimObs};
 use std::error::Error;
 use std::io::{self, Write};
@@ -272,22 +273,18 @@ fn usage() -> String {
         .to_string()
 }
 
+/// The one program file of a subcommand that reads one.
 fn load(args: &Args) -> Result<acfc::mpsl::Program, String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("missing program file argument")?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let program = parse(&src).map_err(|e| format!("{path}:{e}"))?;
-    let errors = validate(&program);
-    if !errors.is_empty() {
-        let msgs: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-        return Err(format!("{path}: {}", msgs.join("; ")));
+    match args.positional.as_slice() {
+        [] => Err("missing program file argument".into()),
+        [path] => load_path(path),
+        [_, extra, ..] => Err(format!(
+            "`{extra}`: this subcommand reads one program file (`compare --sweep` reads several)"
+        )),
     }
-    Ok(program)
 }
 
-fn cmd_check(args: &Args) -> Result<(), String> {
+fn cmd_check(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     args.only("check", &["--nprocs"])?;
     let program = load(args)?;
     acfc::core::check_nprocs(args.nprocs).map_err(|e| e.to_string())?;
@@ -298,22 +295,45 @@ fn cmd_check(args: &Args) -> Result<(), String> {
     let index = index_checkpoints(&cfg, &lowered);
     let g = ExtendedCfg::build(cfg, &matching);
     let violations = check_condition1(&g, &index, LoopPolicy::Optimized);
-    println!(
-        "{}: {} checkpoint statement(s), {} message edge(s) at n={}",
-        program.name,
-        program.checkpoint_ids().len(),
-        g.message_edges.len(),
-        args.nprocs
-    );
-    if violations.is_empty() {
-        println!("OK: every straight cut of checkpoints is a recovery line (Condition 1 holds)");
+    let verdict = if violations.is_empty() {
         Ok(())
     } else {
-        println!("UNSAFE: {} Condition-1 violation(s):", violations.len());
-        print!("{}", acfc::core::explain_violations(&g, &violations));
-        println!("run `acfc analyze` to relocate the checkpoints");
-        Err("placement is unsafe".into())
-    }
+        Err("placement is unsafe")
+    };
+    report_then(verdict, || {
+        writeln!(
+            out,
+            "{}: {} checkpoint statement(s), {} message edge(s) at n={}",
+            program.name,
+            program.checkpoint_ids().len(),
+            g.message_edges.len(),
+            args.nprocs
+        )?;
+        if violations.is_empty() {
+            writeln!(
+                out,
+                "OK: every straight cut of checkpoints is a recovery line (Condition 1 holds)"
+            )?;
+        } else {
+            let found = violations.len();
+            writeln!(out, "UNSAFE: {found} Condition-1 violation(s):")?;
+            write!(out, "{}", acfc::core::explain_violations(&g, &violations))?;
+            writeln!(out, "run `acfc analyze` to relocate the checkpoints")?;
+        }
+        Ok(())
+    })
+}
+
+/// Writes a command's report, then returns its verdict. A failed
+/// verdict outranks a failed write, so a reader that left early does
+/// not turn an unsafe placement or an incomplete run into exit 0.
+fn report_then(
+    verdict: Result<(), &'static str>,
+    report: impl FnOnce() -> Result<(), Box<dyn Error>>,
+) -> Result<(), Box<dyn Error>> {
+    let written = report();
+    verdict?;
+    written
 }
 
 fn analysis_config(args: &Args) -> AnalysisConfig {
@@ -350,7 +370,7 @@ fn write_folded(path: &str, spans: &[acfc::obs::WallSpan]) -> Result<String, Str
     ))
 }
 
-fn cmd_analyze(args: &Args) -> Result<(), String> {
+fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     args.only(
         "analyze",
         &[
@@ -369,15 +389,9 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
         let _ = acfc::obs::take_wall_spans(); // start from a clean log
     }
     let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
-    print!("{}", analysis.report());
-    if args.emit {
-        println!("--- transformed program ---");
-        print!("{}", to_source(&analysis.program));
-    }
-    if args.dot {
-        println!("--- extended CFG (Graphviz) ---");
-        print!("{}", analysis.to_dot());
-    }
+    // The profile files are written before the report, so a reader that
+    // leaves early can only cut the text on stdout.
+    let mut notes = Vec::new();
     if capture {
         acfc::obs::set_enabled(false);
         let spans = acfc::obs::take_wall_spans();
@@ -386,17 +400,31 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
             tb.validate()
                 .map_err(|e| format!("profile trace invalid: {e}"))?;
             std::fs::write(path, tb.render()).map_err(|e| format!("{path}: {e}"))?;
-            println!(
+            notes.push(format!(
                 "wrote {} wall-clock span(s) to {path} (load in https://ui.perfetto.dev)",
                 spans.len()
-            );
+            ));
         }
         if let Some(path) = &args.folded {
-            println!("{}", write_folded(path, &spans)?);
+            notes.push(write_folded(path, &spans)?);
         }
         if spans.is_empty() {
-            println!("note: binary built without the `obs` feature; spans are compiled out");
+            notes.push(
+                "note: binary built without the `obs` feature; spans are compiled out".into(),
+            );
         }
+    }
+    write!(out, "{}", analysis.report())?;
+    if args.emit {
+        writeln!(out, "--- transformed program ---")?;
+        write!(out, "{}", to_source(&analysis.program))?;
+    }
+    if args.dot {
+        writeln!(out, "--- extended CFG (Graphviz) ---")?;
+        write!(out, "{}", analysis.to_dot())?;
+    }
+    for note in notes {
+        writeln!(out, "{note}")?;
     }
     Ok(())
 }
@@ -405,7 +433,7 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 /// OS-thread workers (or the deterministic scheduler with `--det`),
 /// snapshots committed to a real backend, kills injected at virtual
 /// times, recovery restored from the backend's committed set.
-fn cmd_run_real(args: &Args) -> Result<(), String> {
+fn cmd_run_real(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use acfc::protocols::ProtocolKind;
     use acfc::runtime::{
         backend_for, coordinator_for, run_det, run_free, FailureInjector, FreeConfig, RunEvent,
@@ -439,10 +467,9 @@ fn cmd_run_real(args: &Args) -> Result<(), String> {
     for spec in &args.kills {
         let (at, p) = FailureInjector::parse_spec(spec).map_err(|e| format!("--kill: {e}"))?;
         if p >= args.nprocs {
-            return Err(format!(
-                "--kill {spec}: proc {p} out of range for n={}",
-                args.nprocs
-            ));
+            return Err(
+                format!("--kill {spec}: proc {p} out of range for n={}", args.nprocs).into(),
+            );
         }
         injector.push(at, p);
     }
@@ -483,71 +510,84 @@ fn cmd_run_real(args: &Args) -> Result<(), String> {
             &FreeConfig::default(),
         )
     };
-    println!(
-        "{}: n={} mode={} protocol={} backend={} -> {} in {:.4}s virtual",
-        report.program,
-        report.nprocs,
-        report.mode,
-        report.coordinator,
-        report.backend,
-        acfc::runtime::outcome_name(&report.outcome),
-        report.vtime_us as f64 / 1e6,
-    );
-    let mut ckpts = vec![0u64; args.nprocs];
-    for e in &report.events {
-        match e {
-            RunEvent::Checkpoint { proc, .. } => ckpts[*proc] += 1,
-            RunEvent::Kill { proc, vtime_us } => {
-                println!("kill: P{proc} crashed at {:.4}s", *vtime_us as f64 / 1e6);
-            }
-            RunEvent::Recovery {
-                killed,
-                vtime_us,
-                restored,
-                redelivered,
-                lost_us,
-            } => {
-                let line: Vec<String> = restored
-                    .iter()
-                    .map(|r| r.map_or_else(|| "initial".into(), |s| s.to_string()))
-                    .collect();
-                println!(
-                    "recovery: P{killed}'s crash rolled back to cut [{}] at {:.4}s \
-                     ({redelivered} message(s) re-delivered, {:.1} ms of work lost)",
-                    line.join(", "),
-                    *vtime_us as f64 / 1e6,
-                    *lost_us as f64 / 1000.0,
-                );
-            }
-            _ => {}
-        }
-    }
-    println!(
-        "checkpoints committed per process: {ckpts:?}; {} still live in the backend",
-        backend.committed().map_err(|e| e.to_string())?.len()
-    );
-    if args.trace {
-        print!("{}", report.to_jsonl());
-    }
+    // The event log is written before the report, so a reader that
+    // leaves early can only cut the text on stdout.
     if let Some(path) = &args.jsonl {
         std::fs::write(path, report.to_jsonl()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "wrote {} event(s) to {path} (one JSON object per line)",
-            report.events.len()
-        );
     }
-    if report.outcome != Outcome::Completed {
-        return Err("run did not complete".into());
-    }
-    Ok(())
+    let verdict = if report.outcome == Outcome::Completed {
+        Ok(())
+    } else {
+        Err("run did not complete")
+    };
+    report_then(verdict, || {
+        writeln!(
+            out,
+            "{}: n={} mode={} protocol={} backend={} -> {} in {:.4}s virtual",
+            report.program,
+            report.nprocs,
+            report.mode,
+            report.coordinator,
+            report.backend,
+            acfc::runtime::outcome_name(&report.outcome),
+            report.vtime_us as f64 / 1e6,
+        )?;
+        let mut ckpts = vec![0u64; args.nprocs];
+        for e in &report.events {
+            match e {
+                RunEvent::Checkpoint { proc, .. } => ckpts[*proc] += 1,
+                RunEvent::Kill { proc, vtime_us } => {
+                    let at = *vtime_us as f64 / 1e6;
+                    writeln!(out, "kill: P{proc} crashed at {at:.4}s")?;
+                }
+                RunEvent::Recovery {
+                    killed,
+                    vtime_us,
+                    restored,
+                    redelivered,
+                    lost_us,
+                } => {
+                    let line: Vec<String> = restored
+                        .iter()
+                        .map(|r| r.map_or_else(|| "initial".into(), |s| s.to_string()))
+                        .collect();
+                    writeln!(
+                        out,
+                        "recovery: P{killed}'s crash rolled back to cut [{}] at {:.4}s \
+                         ({redelivered} message(s) re-delivered, {:.1} ms of work lost)",
+                        line.join(", "),
+                        *vtime_us as f64 / 1e6,
+                        *lost_us as f64 / 1000.0,
+                    )?;
+                }
+                _ => {}
+            }
+        }
+        writeln!(
+            out,
+            "checkpoints committed per process: {ckpts:?}; {} still live in the backend",
+            backend.committed().map_err(|e| e.to_string())?.len()
+        )?;
+        if args.trace {
+            write!(out, "{}", report.to_jsonl())?;
+        }
+        if let Some(path) = &args.jsonl {
+            writeln!(
+                out,
+                "wrote {} event(s) to {path} (one JSON object per line)",
+                report.events.len()
+            )?;
+        }
+        Ok(())
+    })
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
+fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     if args.nprocs == 0 {
-        return Err(acfc::protocols::ConfigError::ZeroProcs.to_string());
+        return Err(acfc::protocols::ConfigError::ZeroProcs.into());
     }
     if args.real {
-        return cmd_run_real(args);
+        return cmd_run_real(args, out);
     }
     args.only(
         "run",
@@ -575,63 +615,78 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         Some(o) => run_observed(&compiled, &cfg, o),
         None => run(&compiled, &cfg),
     };
-    println!(
-        "{}: n={} seed={} -> {:?} in {:.4}s simulated",
-        program.name,
-        args.nprocs,
-        args.seed,
-        trace.outcome,
-        trace.makespan_secs()
-    );
-    println!(
-        "messages: {} ({} bits); checkpoints per process: {:?}",
-        trace.metrics.app_messages,
-        trace.metrics.app_bits,
-        trace.checkpoint_counts()
-    );
-    if args.trace {
-        println!("--- summary ---\n{}", acfc::sim::summary(&trace));
-        println!(
-            "--- space-time diagram ---\n{}",
-            acfc::sim::spacetime(&trace)
-        );
-    }
-    if let (Some(path), Some(o)) = (&args.profile, obs.as_ref()) {
-        let tb = acfc::sim::timeline(&trace, o);
-        tb.validate()
-            .map_err(|e| format!("profile trace invalid: {e}"))?;
-        std::fs::write(path, tb.render()).map_err(|e| format!("{path}: {e}"))?;
-        println!(
-            "wrote simulated-time timeline ({} process track(s), {} message arrow(s), \
-             {} recovery line(s)) to {path} (load in https://ui.perfetto.dev)",
-            trace.nprocs,
-            trace
-                .live_messages()
-                .filter(|m| m.recv_at.is_some())
-                .count(),
-            trace.aligned_depth()
-        );
-    }
-    if !trace.completed() {
-        return Err("run did not complete".into());
-    }
-    let bad = consistency::straight_cut_failures(&trace);
-    if bad.is_empty() {
-        println!(
-            "every straight cut (1..={}) is a recovery line",
-            trace.aligned_depth()
-        );
-        Ok(())
+    let bad = if trace.completed() {
+        consistency::straight_cut_failures(&trace)
     } else {
-        println!("straight cuts {bad:?} are NOT recovery lines");
-        Err("inconsistent straight cuts".into())
-    }
+        Vec::new()
+    };
+    // The profile is written before the report, so a reader that leaves
+    // early can only cut the text on stdout.
+    let profiled = match (&args.profile, obs.as_ref()) {
+        (Some(path), Some(o)) => {
+            let tb = acfc::sim::timeline(&trace, o);
+            tb.validate()
+                .map_err(|e| format!("profile trace invalid: {e}"))?;
+            std::fs::write(path, tb.render()).map_err(|e| format!("{path}: {e}"))?;
+            Some(format!(
+                "wrote simulated-time timeline ({} process track(s), {} message arrow(s), \
+                 {} recovery line(s)) to {path} (load in https://ui.perfetto.dev)",
+                trace.nprocs,
+                trace
+                    .live_messages()
+                    .filter(|m| m.recv_at.is_some())
+                    .count(),
+                trace.aligned_depth()
+            ))
+        }
+        _ => None,
+    };
+    let verdict = if !trace.completed() {
+        Err("run did not complete")
+    } else if !bad.is_empty() {
+        Err("inconsistent straight cuts")
+    } else {
+        Ok(())
+    };
+    report_then(verdict, || {
+        writeln!(
+            out,
+            "{}: n={} seed={} -> {:?} in {:.4}s simulated",
+            program.name,
+            args.nprocs,
+            args.seed,
+            trace.outcome,
+            trace.makespan_secs()
+        )?;
+        writeln!(
+            out,
+            "messages: {} ({} bits); checkpoints per process: {:?}",
+            trace.metrics.app_messages,
+            trace.metrics.app_bits,
+            trace.checkpoint_counts()
+        )?;
+        if args.trace {
+            writeln!(out, "--- summary ---\n{}", acfc::sim::summary(&trace))?;
+            let diagram = acfc::sim::spacetime(&trace);
+            writeln!(out, "--- space-time diagram ---\n{diagram}")?;
+        }
+        if let Some(note) = &profiled {
+            writeln!(out, "{note}")?;
+        }
+        if !bad.is_empty() {
+            writeln!(out, "straight cuts {bad:?} are NOT recovery lines")?;
+        } else if trace.completed() {
+            let depth = trace.aligned_depth();
+            writeln!(out, "every straight cut (1..={depth}) is a recovery line")?;
+        }
+        Ok(())
+    })
 }
 
 /// `acfc report` — run the full pipeline (analysis + simulation) with
 /// instrumentation on and print the registry counter/histogram table
 /// plus the per-run simulator summary.
-fn cmd_report(args: &Args) -> Result<(), String> {
+fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     args.only(
         "report",
         &["--nprocs", "--failure-rate", "--seed", "--input", "--serve"],
@@ -647,39 +702,46 @@ fn cmd_report(args: &Args) -> Result<(), String> {
     let trace = run_observed(&compile(&analysis.program), &cfg, &mut obs);
     obs.publish();
     acfc::obs::set_enabled(false);
-    println!(
+    writeln!(
+        out,
         "{}: n={} seed={} -> {:?} in {:.4}s simulated",
         analysis.program.name,
         args.nprocs,
         args.seed,
         trace.outcome,
         trace.makespan_secs()
-    );
-    println!("\n--- simulator ---");
-    println!(
+    )?;
+    writeln!(out, "\n--- simulator ---")?;
+    writeln!(
+        out,
         "events processed: {} | run-ahead hits: {} | messages delivered: {}",
         obs.events_processed, obs.run_ahead_hits, obs.messages_delivered
-    );
+    )?;
     for (p, t) in obs.per_proc.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "P{p}: compute {:.1} ms, blocked {:.1} ms, checkpoint stall {:.1} ms",
             t.compute_us as f64 / 1000.0,
             t.blocked_us as f64 / 1000.0,
             t.ckpt_us as f64 / 1000.0
-        );
+        )?;
     }
     let snap = acfc::obs::snapshot();
-    println!("\n--- metrics registry ---");
-    print!("{}", acfc::obs::render(&snap));
+    writeln!(out, "\n--- metrics registry ---")?;
+    write!(out, "{}", acfc::obs::render(&snap))?;
     if snap.counters.is_empty() && snap.histograms.is_empty() {
-        println!("note: binary built without the `obs` feature; registry metrics are compiled out");
+        writeln!(
+            out,
+            "note: binary built without the `obs` feature; registry metrics are compiled out"
+        )?;
     }
     if let Some(addr) = &args.serve {
         let server = acfc::obs::serve(addr).map_err(|e| format!("--serve {addr}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "\nserving metrics at http://{}/metrics (Prometheus text format; Ctrl-C to stop)",
             server.local_addr()
-        );
+        )?;
         loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         }
@@ -690,7 +752,7 @@ fn cmd_report(args: &Args) -> Result<(), String> {
 /// `acfc mpmd <name> <file@spec>...` — combine per-role programs
 /// (the paper's §3 MPMD remark) and print the resulting SPMD program.
 /// A spec is `FIRST` (single rank), `FIRST-LAST`, or `FIRST-` (rest).
-fn cmd_mpmd(args: &Args) -> Result<(), String> {
+fn cmd_mpmd(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use acfc::mpsl::mpmd::{combine, Role};
     args.only("mpmd", &[])?;
     let name = args
@@ -728,10 +790,22 @@ fn cmd_mpmd(args: &Args) -> Result<(), String> {
     let errors = validate(&combined);
     if !errors.is_empty() {
         let msgs: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-        return Err(format!("combined program invalid: {}", msgs.join("; ")));
+        return Err(format!("combined program invalid: {}", msgs.join("; ")).into());
     }
-    print!("{}", to_source(&combined));
+    write!(out, "{}", to_source(&combined))?;
     Ok(())
+}
+
+/// Reads, parses and validates one `.mpsl` file.
+fn load_path(path: &str) -> Result<acfc::mpsl::Program, String> {
+    let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let program = parse(&src).map_err(|e| format!("{path}:{e}"))?;
+    let errors = validate(&program);
+    if !errors.is_empty() {
+        let msgs: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
+        return Err(format!("{path}: {}", msgs.join("; ")));
+    }
+    Ok(program)
 }
 
 /// Loads every positional `.mpsl` file (the compare workload matrix).
@@ -739,19 +813,7 @@ fn load_all(args: &Args) -> Result<Vec<acfc::mpsl::Program>, String> {
     if args.positional.is_empty() {
         return Err("missing program file argument".into());
     }
-    args.positional
-        .iter()
-        .map(|path| {
-            let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let program = parse(&src).map_err(|e| format!("{path}:{e}"))?;
-            let errors = validate(&program);
-            if !errors.is_empty() {
-                let msgs: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-                return Err(format!("{path}: {}", msgs.join("; ")));
-            }
-            Ok(program)
-        })
-        .collect()
+    args.positional.iter().map(|path| load_path(path)).collect()
 }
 
 /// `acfc compare --sweep` — the replicated evaluation matrix: process
@@ -759,8 +821,8 @@ fn load_all(args: &Args) -> Result<Vec<acfc::mpsl::Program>, String> {
 /// aggregate rows (mean ± 95% CI) streaming to `out` as cells finish.
 fn cmd_compare_sweep(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use acfc::protocols::{
-        render_agg_json, run_sweep, CicVariant, CollectSink, JsonlSink, ProgressSink, RowSink,
-        SweepPlan, TableSink, TelemetrySink, Workload,
+        render_agg_json, run_sweep, CicVariant, CollectSink, JsonlSink, ProgressSink,
+        TelemetrySink, Workload,
     };
     args.only(
         "compare --sweep",
@@ -819,7 +881,11 @@ fn cmd_compare_sweep(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Err
         let _ = acfc::obs::take_wall_spans(); // start from a clean log
     }
 
-    let mut table = TableSink::new(&mut *out);
+    let mut table = TableSink::new(TableOut {
+        out: &mut *out,
+        ends_sweep: args.jsonl.is_none() && args.json.is_none() && args.folded.is_none(),
+        closed: false,
+    });
     let mut progress = ProgressSink::new(std::io::stderr());
     let mut collect = CollectSink::default();
     let mut jsonl = None;
@@ -843,28 +909,28 @@ fn cmd_compare_sweep(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Err
     if let Some(sink) = telemetry.as_mut() {
         sinks.push(sink);
     }
-    run_sweep(&plan, &mut sinks);
+    run_sweep(&plan, &mut sinks)?;
 
+    // Every file is written before the lines that report them, so a
+    // reader that leaves early can only cut the text on stdout.
+    let mut notes = Vec::new();
     if capture {
         acfc::obs::set_enabled(false);
         let spans = acfc::obs::take_wall_spans();
         if let Some(path) = &args.folded {
-            writeln!(out, "{}", write_folded(path, &spans)?)?;
+            notes.push(write_folded(path, &spans)?);
             if spans.is_empty() {
-                writeln!(
-                    out,
-                    "note: binary built without the `obs` feature; spans are compiled out"
-                )?;
+                notes.push(
+                    "note: binary built without the `obs` feature; spans are compiled out".into(),
+                );
             }
         }
     }
     if let Some(s) = server {
         s.shutdown();
     }
-
     if let Some(path) = &args.jsonl {
-        writeln!(
-            out,
+        notes.push(format!(
             "wrote {} aggregate row(s) ({} seeds/cell){} to {path}",
             collect.rows.len(),
             plan.seeds_per_cell(),
@@ -873,17 +939,50 @@ fn cmd_compare_sweep(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Err
             } else {
                 ""
             }
-        )?;
+        ));
     }
     if let Some(path) = &args.json {
         std::fs::write(path, render_agg_json(&collect.rows)).map_err(|e| format!("{path}: {e}"))?;
-        writeln!(
-            out,
+        notes.push(format!(
             "wrote comparison JSON ({} aggregate row(s)) to {path}",
             collect.rows.len()
-        )?;
+        ));
+    }
+    for note in notes {
+        writeln!(out, "{note}")?;
     }
     Ok(())
+}
+
+/// The sweep table's stdout. A reader that leaves early ends the sweep
+/// when the table is its only output; when the sweep also writes files,
+/// it runs on to complete them and only the printing stops.
+struct TableOut<'a> {
+    out: &'a mut dyn Write,
+    ends_sweep: bool,
+    closed: bool,
+}
+
+impl Write for TableOut<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        match self.out.write(buf) {
+            Err(e) if !self.ends_sweep && e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(buf.len())
+            }
+            written => written,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        self.out.flush()
+    }
 }
 
 /// `acfc compare` — the protocol-comparison dashboard: one table (and
@@ -936,11 +1035,8 @@ fn cmd_compare(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     if let Some(path) = &args.json {
         let artifact = SweepArtifact::new(program.name.clone(), rows);
         std::fs::write(path, artifact.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        writeln!(
-            out,
-            "wrote comparison JSON ({} run(s)) to {path}",
-            artifact.runs.len()
-        )?;
+        let runs = artifact.runs.len();
+        writeln!(out, "wrote comparison JSON ({runs} run(s)) to {path}")?;
     }
     if let Some(path) = &args.profile {
         // Merge one timeline run per protocol at the largest n into a
@@ -989,7 +1085,7 @@ fn cmd_figures(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     };
     use acfc::protocols::{
         compare_all, domino_report, domino_stream, render_table, run_sweep, uncoordinated_picker,
-        AppDriven, CompareConfig, RowSink, SweepPlan, TableSink,
+        AppDriven, CheckpointCoordinator, CompareConfig,
     };
     use acfc::sim::{run_with_failures, FailurePlan, NoHooks, SimTime};
     use std::fmt::Write as _;
@@ -1044,7 +1140,7 @@ fn cmd_figures(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         plan.clone(),
         uncoordinated_picker(),
     );
-    let analysed = run_with_failures(&ad.compiled, &cfg, &mut ad.hooks(), plan, ad.picker());
+    let analysed = run_with_failures(&ad.compiled, &cfg, &mut NoHooks, plan, NoHooks.picker());
     let mut body =
         String::from("placement\tmax consistent line\tdiscarded\tfull restart\tlost (ms)\n");
     for (name, compiled, failed) in [
@@ -1114,7 +1210,7 @@ fn cmd_figures(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         .failure_rates([rate])
         .build()?;
     let mut table = TableSink::new(Vec::new());
-    run_sweep(&plan, &mut [&mut table as &mut dyn RowSink]);
+    run_sweep(&plan, &mut [&mut table as &mut dyn RowSink])?;
     let text = String::from_utf8(table.into_inner())?;
     let rows = text
         .trim_end()
@@ -1185,11 +1281,11 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "check" => cmd_check(&args),
-        "analyze" => cmd_analyze(&args),
-        "run" => cmd_run(&args),
-        "report" => cmd_report(&args),
-        "mpmd" => cmd_mpmd(&args),
+        "check" => to_stdout(|out| cmd_check(&args, out)),
+        "analyze" => to_stdout(|out| cmd_analyze(&args, out)),
+        "run" => to_stdout(|out| cmd_run(&args, out)),
+        "report" => to_stdout(|out| cmd_report(&args, out)),
+        "mpmd" => to_stdout(|out| cmd_mpmd(&args, out)),
         "compare" => to_stdout(|out| cmd_compare(&args, out)),
         "figures" => to_stdout(|out| cmd_figures(&args, out)),
         other => Err(format!("unknown command `{other}`\n{}", usage())),

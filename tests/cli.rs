@@ -594,25 +594,110 @@ fn mpmd_rejects_bad_specs() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("coverage"));
 }
 
+/// Runs `acfc args` with its stdout pipe's read end closed before the
+/// child starts, so its first write to stdout fails with a broken pipe
+/// (`acfc figures | head`).
+fn acfc_closed_stdout(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_acfc"))
+        .args(args)
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .stdout(writer)
+        .output()
+        .expect("binary runs")
+}
+
 #[test]
 fn closed_stdout_ends_figures_and_compare_quietly() {
-    // The read end is closed before the child starts, so its first
-    // write to stdout fails with a broken pipe (`acfc figures | head`).
     for args in [
         &["figures"][..],
         &["compare", "programs/jacobi.mpsl", "--nprocs", "2"],
     ] {
-        let (reader, writer) = std::io::pipe().expect("pipe");
-        drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_acfc"))
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .stdout(writer)
-            .output()
-            .expect("binary runs");
+        let out = acfc_closed_stdout(args);
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
         assert!(err.is_empty(), "{args:?}: {err}");
+    }
+}
+
+/// Every other subcommand ends on a closed stdout without a panic, and
+/// a failed verdict keeps its exit status 1 when the reader has gone.
+#[test]
+fn closed_stdout_ends_every_subcommand_and_keeps_its_verdict() {
+    for (cmd, code) in [
+        ("check programs/jacobi.mpsl", 0),
+        ("check programs/jacobi_odd_even.mpsl", 1),
+        ("analyze programs/jacobi_odd_even.mpsl --emit", 0),
+        ("run programs/jacobi.mpsl --analyze", 0),
+        ("run programs/jacobi_odd_even.mpsl --nprocs 4", 1),
+        ("run programs/jacobi.mpsl --real --det", 0),
+        ("report programs/jacobi.mpsl", 0),
+        (
+            "mpmd gather programs/role_master.mpsl@0 programs/role_worker.mpsl@1-",
+            0,
+        ),
+        ("compare programs/jacobi.mpsl --sweep --ns 2 --seeds 1", 0),
+    ] {
+        let args: Vec<&str> = cmd.split(' ').collect();
+        let out = acfc_closed_stdout(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{cmd}: {err}");
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+}
+
+/// A closed stdout cuts only the text on stdout: every file a command
+/// was asked for is still written whole, the sweep's rows included.
+#[test]
+fn closed_stdout_still_writes_every_requested_file() {
+    let dir = scratch("closed-files");
+    let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let lines = |name: &str| std::fs::read_to_string(file(name)).map_or(0, |t| t.lines().count());
+    let sweep = "compare programs/jacobi.mpsl --sweep --ns 2,4 --seeds 1 --telemetry";
+    for (tag, spawn) in [
+        ("open", acfc as fn(&[&str]) -> Output),
+        ("closed", acfc_closed_stdout),
+    ] {
+        let (jsonl, json) = (file(&format!("{tag}.jsonl")), file(&format!("{tag}.json")));
+        let mut args: Vec<&str> = sweep.split(' ').collect();
+        args.extend(["--jsonl", &jsonl, "--json", &json]);
+        let out = spawn(&args);
+        assert_eq!(out.status.code(), Some(0), "{tag}: {out:?}");
+    }
+    // 2 process counts × 8 protocols, plus the telemetry trailer.
+    assert_eq!(lines("open.jsonl"), 17);
+    assert_eq!(lines("closed.jsonl"), 17);
+    assert_eq!(lines("closed.json"), lines("open.json"));
+
+    for (cmd, name) in [
+        ("run programs/jacobi.mpsl --profile", "run.json"),
+        (
+            "run programs/jacobi.mpsl --real --det --jsonl",
+            "real.jsonl",
+        ),
+        ("analyze programs/jacobi.mpsl --profile", "analyze.json"),
+    ] {
+        let path = file(name);
+        let mut args: Vec<&str> = cmd.split(' ').collect();
+        args.push(&path);
+        let out = acfc_closed_stdout(&args);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {out:?}");
+        assert!(lines(name) > 0, "{cmd}");
+    }
+}
+
+#[test]
+fn single_program_subcommands_reject_a_second_file() {
+    for cmd in ["check", "analyze", "run", "report", "compare"] {
+        let out = acfc(&[cmd, "programs/jacobi.mpsl", "programs/jacobi_odd_even.mpsl"]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(
+            err.contains("`programs/jacobi_odd_even.mpsl`: this subcommand reads one program file"),
+            "{cmd}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd}: {}", stdout(&out));
     }
 }
 
