@@ -217,7 +217,7 @@ mod tests {
         assert!(labels.contains(&EdgeLabel::False));
         let joins = cfg.nodes_where(|k| matches!(k, NodeKind::Join));
         assert_eq!(joins.len(), 1);
-        assert!(cfg.is_join(joins[0]));
+        assert_eq!(cfg.preds(joins[0]).len(), 2);
     }
 
     #[test]

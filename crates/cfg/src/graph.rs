@@ -252,11 +252,6 @@ impl Cfg {
         self.nodes_where(|k| matches!(k, NodeKind::Branch { .. }))
     }
 
-    /// A node is a *join node* if it has more than one predecessor (§2).
-    pub fn is_join(&self, id: NodeId) -> bool {
-        self.preds(id).len() > 1
-    }
-
     /// Splices a new node onto the edge `from → to` (with label `label`),
     /// so that `from → new → to`; the incoming label is preserved and the
     /// outgoing edge is [`EdgeLabel::Seq`].
@@ -388,7 +383,7 @@ mod tests {
         cfg.add_edge(b, j, EdgeLabel::False);
         cfg.add_edge(j, cfg.exit(), EdgeLabel::Seq);
         assert_eq!(cfg.branch_nodes(), vec![b]);
-        assert!(cfg.is_join(j));
-        assert!(!cfg.is_join(b));
+        assert_eq!(cfg.preds(j).len(), 2);
+        assert_eq!(cfg.preds(b).len(), 1);
     }
 }

@@ -37,11 +37,6 @@ impl IndexRange {
         self.min == self.max
     }
 
-    /// `true` when `i` falls in the interval.
-    pub fn contains(&self, i: u32) -> bool {
-        self.min <= i && i <= self.max
-    }
-
     /// `true` when two intervals overlap (the nodes can share an index).
     pub fn overlaps(&self, other: &IndexRange) -> bool {
         self.min <= other.max && other.min <= self.max
@@ -59,19 +54,6 @@ pub struct CheckpointIndex {
 }
 
 impl CheckpointIndex {
-    /// All checkpoint nodes whose interval contains `i`, i.e. the
-    /// members of `S_i`.
-    pub fn straight_cut(&self, i: u32) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self
-            .ranges
-            .iter()
-            .filter(|(_, r)| r.contains(i))
-            .map(|(&n, _)| n)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// The largest index any node can take.
     pub fn max_index(&self) -> u32 {
         self.ranges.values().map(|r| r.max).max().unwrap_or(0)
@@ -200,7 +182,6 @@ mod tests {
         assert_eq!(idx.ranges[&chks[1]], IndexRange { min: 2, max: 2 });
         assert_eq!(idx.total, IndexRange { min: 2, max: 2 });
         assert!(idx.is_exact());
-        assert_eq!(idx.straight_cut(1), vec![chks[0]]);
         assert_eq!(idx.max_index(), 2);
     }
 
@@ -215,7 +196,6 @@ mod tests {
         for c in &chks {
             assert_eq!(idx.ranges[c], IndexRange { min: 1, max: 1 });
         }
-        assert_eq!(idx.straight_cut(1).len(), 2);
         assert_eq!(idx.same_index_pairs().len(), 1);
         assert!(idx.is_exact());
     }
@@ -287,7 +267,6 @@ mod tests {
         let (_, idx) = index_of("program t; compute 1;");
         assert!(idx.ranges.is_empty());
         assert_eq!(idx.max_index(), 0);
-        assert!(idx.straight_cut(1).is_empty());
         assert_eq!(idx.total, IndexRange { min: 0, max: 0 });
     }
 
@@ -299,7 +278,6 @@ mod tests {
         assert!(a.overlaps(&b));
         assert!(b.overlaps(&a));
         assert!(!a.overlaps(&c));
-        assert!(a.contains(1) && !a.contains(3));
         assert!(!a.is_exact());
         assert!(IndexRange { min: 2, max: 2 }.is_exact());
     }

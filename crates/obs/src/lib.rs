@@ -4,26 +4,19 @@
 //! incremental Phase III, the lowered-bytecode engine) was built on
 //! end-to-end wall-clock numbers; this crate adds the *interior* view:
 //! where the time goes inside an analysis pass, and where simulated
-//! time goes inside a run. It is deliberately zero-dependency and
-//! two-layered:
-//!
-//! * **Compile-time layer** — the `enabled` cargo feature. Without it,
-//!   [`count`], [`record`], and [`span`] compile to inline empty
-//!   no-ops and the registry is permanently empty, so instrumented hot
-//!   paths carry literally no code. Downstream crates expose this as
-//!   their own `obs` feature.
-//! * **Runtime layer** — [`set_enabled`]. Even when compiled in,
-//!   probes first check one relaxed atomic; the disabled cost is a
-//!   single predictable branch, preserving the `NoHooks` simulator hot
-//!   path (~16M events/s) and the analysis throughput numbers.
+//! time goes inside a run. It is deliberately zero-dependency and has
+//! one gate: the runtime flag [`set_enabled`] (read by [`enabled`]).
+//! Every probe first checks that one relaxed atomic; the disabled cost
+//! is a single predictable branch, preserving the `NoHooks` simulator
+//! hot path and the analysis throughput numbers.
 //!
 //! The pieces:
 //!
 //! * [`Counter`] / [`Histogram`] / [`LocalHist`] — relaxed-atomic
 //!   monotone counters, fixed 64-bucket power-of-two histograms, and a
-//!   non-atomic histogram twin for exclusively-owned collectors.
-//!   Always compiled (the simulator's per-run collector uses them
-//!   directly, unmetered by the global flag).
+//!   non-atomic histogram twin for exclusively-owned collectors. The
+//!   simulator's per-run collector uses them directly, unmetered by
+//!   the global flag.
 //! * the **registry** — a process-global, thread-safe, hierarchical
 //!   (slash-separated names) table behind [`count`], [`record`],
 //!   [`snapshot`], and [`reset`].
@@ -62,8 +55,8 @@ pub mod stats;
 
 pub use folded::{folded_lines, speedscope_json};
 pub use metrics::{
-    count, record, reset, set_enabled, snapshot, Counter, HistSnapshot, Histogram, LocalHist,
-    Quantiles, Snapshot,
+    count, enabled, record, reset, set_enabled, snapshot, Counter, HistSnapshot, Histogram,
+    LocalHist, Quantiles, Snapshot,
 };
 pub use perfetto::TraceBuilder;
 pub use report::render;
@@ -73,10 +66,3 @@ pub use stats::{
     bootstrap_median_ci, t_critical_95, CiAccum, CiSummary, MedianCi, BOOTSTRAP_MAX_DRAWS,
     BOOTSTRAP_RESAMPLES,
 };
-
-/// `true` when instrumentation is both compiled in (`enabled` feature)
-/// and switched on at runtime via [`set_enabled`].
-#[inline]
-pub fn enabled() -> bool {
-    metrics::runtime_enabled()
-}

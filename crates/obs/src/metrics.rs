@@ -1,12 +1,14 @@
 //! Counters, histograms, and the global metric registry.
 //!
-//! [`Counter`] and [`Histogram`] are always compiled: the simulator's
-//! per-run collector embeds them directly (opt-in per run, so they need
-//! no global gate). The *registry* functions — [`count`], [`record`],
-//! [`snapshot`], [`reset`] — are the sprinkled-through-the-codebase
-//! layer and honour both the `enabled` feature and the runtime flag.
+//! The simulator's per-run collector embeds [`Counter`] and
+//! [`Histogram`] directly (opt-in per run, so they need no global gate).
+//! The *registry* functions — [`count`], [`record`], [`snapshot`],
+//! [`reset`] — are the sprinkled-through-the-codebase layer and honour
+//! the runtime flag ([`set_enabled`]).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, OnceLock};
 
 /// A monotonically increasing event counter (relaxed atomic: counts
 /// from concurrent threads merge without ordering cost; exact totals
@@ -300,132 +302,111 @@ pub struct Snapshot {
 
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Switches the registry probes on or off at runtime. A no-op (always
-/// off) when the `enabled` feature is not compiled in.
+/// Switches the registry probes and spans on or off at runtime.
 pub fn set_enabled(on: bool) {
-    RUNTIME_ENABLED.store(on && cfg!(feature = "enabled"), Relaxed);
+    RUNTIME_ENABLED.store(on, Relaxed);
 }
 
-/// The combined compile-time + runtime gate.
+/// `true` when instrumentation is switched on via [`set_enabled`].
 #[inline]
-pub(crate) fn runtime_enabled() -> bool {
-    cfg!(feature = "enabled") && RUNTIME_ENABLED.load(Relaxed)
+pub fn enabled() -> bool {
+    RUNTIME_ENABLED.load(Relaxed)
 }
 
-#[cfg(feature = "enabled")]
-mod registry {
-    use super::{Counter, Histogram, Snapshot};
-    use std::collections::BTreeMap;
-    use std::sync::{Mutex, OnceLock};
+/// Registered metrics are leaked to `'static`: the name set is the
+/// finite set of instrumentation points, so the "leak" is a one-time
+/// arena for process-lifetime objects.
+struct Registry {
+    counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
+    histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
+}
 
-    /// Registered metrics are leaked to `'static`: the name set is the
-    /// finite set of instrumentation points, so the "leak" is a
-    /// one-time arena for process-lifetime objects.
-    struct Registry {
-        counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
-        histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
-    }
-
-    fn registry() -> &'static Registry {
-        static REG: OnceLock<Registry> = OnceLock::new();
-        REG.get_or_init(|| Registry {
-            counters: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-        })
-    }
-
-    pub(super) fn counter(name: &'static str) -> &'static Counter {
-        let mut map = registry().counters.lock().expect("obs registry poisoned");
-        map.entry(name).or_insert_with(|| Box::leak(Box::default()))
-    }
-
-    pub(super) fn histogram(name: &'static str) -> &'static Histogram {
-        let mut map = registry().histograms.lock().expect("obs registry poisoned");
-        map.entry(name)
-            .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
-    }
-
-    pub(super) fn snapshot() -> Snapshot {
-        let reg = registry();
-        let counters = reg
-            .counters
-            .lock()
-            .expect("obs registry poisoned")
-            .iter()
-            .map(|(&k, v)| (k.to_string(), v.get()))
-            .collect();
-        let histograms = reg
-            .histograms
-            .lock()
-            .expect("obs registry poisoned")
-            .iter()
-            .map(|(&k, v)| (k.to_string(), v.snap()))
-            .collect();
-        Snapshot {
-            counters,
-            histograms,
-        }
-    }
-
-    pub(super) fn reset() {
-        let reg = registry();
-        for c in reg.counters.lock().expect("obs registry poisoned").values() {
-            c.reset();
-        }
-        for h in reg
-            .histograms
-            .lock()
-            .expect("obs registry poisoned")
-            .values()
-        {
-            h.reset();
-        }
-    }
+fn registry() -> &'static Registry {
+    static REG: OnceLock<Registry> = OnceLock::new();
+    REG.get_or_init(|| Registry {
+        counters: Mutex::new(BTreeMap::new()),
+        histograms: Mutex::new(BTreeMap::new()),
+    })
 }
 
 /// Adds `delta` to the named registry counter. Hierarchical names use
 /// slash separators (`"core/phase3/moves"`). No-op unless obs is
-/// compiled in and runtime-enabled.
+/// runtime-enabled.
 #[inline]
 pub fn count(name: &'static str, delta: u64) {
-    if !runtime_enabled() {
-        return;
+    if enabled() {
+        counter(name).add(delta);
     }
-    #[cfg(feature = "enabled")]
-    registry::counter(name).add(delta);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, delta);
+}
+
+fn counter(name: &'static str) -> &'static Counter {
+    let mut map = registry().counters.lock().expect("obs registry poisoned");
+    map.entry(name).or_insert_with(|| Box::leak(Box::default()))
 }
 
 /// Records `value` into the named registry histogram. No-op unless obs
-/// is compiled in and runtime-enabled.
+/// is runtime-enabled.
 #[inline]
 pub fn record(name: &'static str, value: u64) {
-    if !runtime_enabled() {
-        return;
+    if enabled() {
+        histogram(name).record(value);
     }
-    #[cfg(feature = "enabled")]
-    registry::histogram(name).record(value);
-    #[cfg(not(feature = "enabled"))]
-    let _ = (name, value);
 }
 
-/// A point-in-time copy of every registered metric (empty when the
-/// feature is off). Reading does not require the runtime flag, so a
-/// harness can disable, then snapshot, then report.
+fn histogram(name: &'static str) -> &'static Histogram {
+    let mut map = registry().histograms.lock().expect("obs registry poisoned");
+    map.entry(name)
+        .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
+}
+
+/// A point-in-time copy of every registered metric. Reading does not
+/// require the runtime flag, so a harness can disable, then snapshot,
+/// then report.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "enabled")]
-    {
-        registry::snapshot()
+    let reg = registry();
+    let counters = reg
+        .counters
+        .lock()
+        .expect("obs registry poisoned")
+        .iter()
+        .map(|(&k, v)| (k.to_string(), v.get()))
+        .collect();
+    let histograms = reg
+        .histograms
+        .lock()
+        .expect("obs registry poisoned")
+        .iter()
+        .map(|(&k, v)| (k.to_string(), v.snap()))
+        .collect();
+    Snapshot {
+        counters,
+        histograms,
     }
-    #[cfg(not(feature = "enabled"))]
-    Snapshot::default()
 }
 
 /// Zeroes every registered metric (names stay registered).
 pub fn reset() {
-    #[cfg(feature = "enabled")]
-    registry::reset();
+    let reg = registry();
+    for c in reg.counters.lock().expect("obs registry poisoned").values() {
+        c.reset();
+    }
+    for h in reg
+        .histograms
+        .lock()
+        .expect("obs registry poisoned")
+        .values()
+    {
+        h.reset();
+    }
+}
+
+/// Serialises the unit tests that flip the process-global flag, so one
+/// test's `set_enabled(false)` cannot land inside another's enabled
+/// window.
+#[cfg(test)]
+pub(crate) fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -505,10 +486,9 @@ mod tests {
         assert!(s.nonzero().is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn registry_counts_only_when_enabled() {
-        // Serialise with other registry tests via a dedicated name.
+        let _flag = flag_lock();
         count("test/gated", 5);
         assert!(
             !snapshot()
@@ -535,15 +515,5 @@ mod tests {
             .unwrap();
         assert_eq!(h.1.count, 1);
         assert_eq!(h.1.sum, 7);
-    }
-
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn feature_off_is_inert() {
-        set_enabled(true);
-        assert!(!crate::enabled());
-        count("test/never", 1);
-        record("test/never", 1);
-        assert_eq!(snapshot(), Snapshot::default());
     }
 }

@@ -9,9 +9,8 @@
 //! simulated process, `SimTime` already being µs).
 //!
 //! The writer is append-only and deterministic: events render in
-//! insertion order, one per line, so golden files diff cleanly. The
-//! module is compiled regardless of the `enabled` feature — it is pure
-//! formatting with no hot-path cost.
+//! insertion order, one per line, so golden files diff cleanly. It is
+//! pure formatting with no hot-path cost.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 

@@ -22,64 +22,10 @@
 //! event spread).
 //!
 //! Pop order is *identical* to the old sorted queue — keys are unique,
-//! so both structures realise the same total order. [`SortedVecQueue`]
-//! preserves the old implementation as the reference for the
-//! differential tests below; the engine's golden traces double as an
+//! so both structures realise the same total order. The unit tests keep
+//! the old implementation (`SortedVecQueue`) as the reference for a
+//! differential check; the engine's golden traces double as an
 //! end-to-end pin.
-
-use std::collections::VecDeque;
-
-/// Reference implementation: the engine's original sorted `VecDeque`
-/// (binary-search insert, pop-front). Kept for differential testing.
-pub struct SortedVecQueue<T> {
-    q: VecDeque<(u64, u64, T)>,
-}
-
-impl<T> SortedVecQueue<T> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        SortedVecQueue {
-            q: VecDeque::with_capacity(256),
-        }
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.q.len()
-    }
-
-    /// `true` when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.q.is_empty()
-    }
-
-    /// Queues `item` under the unique key `(t, seq)`.
-    pub fn push(&mut self, t: u64, seq: u64, item: T) {
-        let key = (t, seq);
-        if self.q.back().is_none_or(|&(bt, bs, _)| (bt, bs) <= key) {
-            self.q.push_back((t, seq, item));
-        } else {
-            let at = self.q.partition_point(|&(qt, qs, _)| (qt, qs) < key);
-            self.q.insert(at, (t, seq, item));
-        }
-    }
-
-    /// The minimum key, if any.
-    pub fn peek_key(&self) -> Option<(u64, u64)> {
-        self.q.front().map(|&(t, s, _)| (t, s))
-    }
-
-    /// Removes and returns the minimum entry.
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        self.q.pop_front()
-    }
-}
-
-impl<T> Default for SortedVecQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// How many full-year cursor sweeps (ending in a global-min scan) we
 /// tolerate before concluding the bucket width is mistuned and
@@ -302,6 +248,41 @@ impl<T> Default for CalendarQueue<T> {
 mod tests {
     use super::*;
     use acfc_util::rng::Rng;
+    use std::collections::VecDeque;
+
+    /// Reference implementation: the engine's original sorted
+    /// `VecDeque` (binary-search insert, pop-front).
+    struct SortedVecQueue<T> {
+        q: VecDeque<(u64, u64, T)>,
+    }
+
+    impl<T> SortedVecQueue<T> {
+        fn new() -> Self {
+            SortedVecQueue { q: VecDeque::new() }
+        }
+
+        fn len(&self) -> usize {
+            self.q.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.q.is_empty()
+        }
+
+        fn push(&mut self, t: u64, seq: u64, item: T) {
+            let key = (t, seq);
+            if self.q.back().is_none_or(|&(bt, bs, _)| (bt, bs) <= key) {
+                self.q.push_back((t, seq, item));
+            } else {
+                let at = self.q.partition_point(|&(qt, qs, _)| (qt, qs) < key);
+                self.q.insert(at, (t, seq, item));
+            }
+        }
+
+        fn pop(&mut self) -> Option<(u64, u64, T)> {
+            self.q.pop_front()
+        }
+    }
 
     /// Drives both queues through the same randomized push/pop schedule
     /// and asserts identical pop order (keys and payloads).

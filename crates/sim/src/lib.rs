@@ -67,7 +67,7 @@ pub use config::{ClockMode, CostModel, NetworkModel, SimConfig, DENSE_CLOCK_MAX}
 pub use engine::{
     run, run_observed, run_observed_with, run_with_backend, run_with_failures, run_with_hooks,
 };
-pub use equeue::{CalendarQueue, SortedVecQueue};
+pub use equeue::CalendarQueue;
 pub use export::{golden, spacetime, summary};
 pub use failure::{CutPicker, FailurePlan, PickerFn, RecoveryView};
 pub use hooks::{

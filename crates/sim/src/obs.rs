@@ -148,9 +148,8 @@ impl SimObs {
     }
 
     /// Mirrors the scalar totals into the process-global `acfc-obs`
-    /// registry (no-op unless the `obs` feature is compiled in and the
-    /// runtime flag is on), so `acfc report` shows simulator counters
-    /// next to the analysis spans.
+    /// registry (no-op unless the runtime flag is on), so `acfc report`
+    /// shows simulator counters next to the analysis spans.
     pub fn publish(&self) {
         acfc_obs::count("sim/events_processed", self.events_processed);
         acfc_obs::count("sim/run_ahead_hits", self.run_ahead_hits);

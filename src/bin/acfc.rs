@@ -82,7 +82,7 @@ use acfc::mpsl::{parse, to_source, validate};
 use acfc::perfmodel::{
     figure8, figure8_default_ns, figure9, figure9_default_wms, to_tsv, ModelParams,
 };
-use acfc::protocols::{RowSink, SweepPlan, TableSink};
+use acfc::protocols::{ConfigError, RowSink, SweepPlan, TableSink};
 use acfc::sim::{compile, consistency, run, run_observed, SimConfig, SimObs};
 use std::error::Error;
 use std::io::{self, Write};
@@ -125,6 +125,23 @@ impl Args {
     fn only(&self, cmd: &str, reads: &[&str]) -> Result<(), String> {
         match self.flags.iter().find(|f| !reads.contains(&f.as_str())) {
             Some(flag) => Err(format!("`{cmd}` does not read {flag}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Rejects flag values that no subcommand can run with, so each
+    /// subcommand reports them as an error instead of panicking deep
+    /// in the analysis or the simulator.
+    fn check_values(&self) -> Result<(), ConfigError> {
+        if self.nprocs == 0 {
+            return Err(ConfigError::ZeroProcs);
+        }
+        match self
+            .failure_rates
+            .iter()
+            .find(|r| !(r.is_finite() && **r >= 0.0))
+        {
+            Some(&rate) => Err(ConfigError::BadFailureRate(rate)),
             None => Ok(()),
         }
     }
@@ -336,16 +353,22 @@ fn report_then(
     written
 }
 
-fn analysis_config(args: &Args) -> AnalysisConfig {
+fn analysis_config(args: &Args) -> Result<AnalysisConfig, String> {
     let mut cfg = AnalysisConfig::for_nprocs(args.nprocs);
     if let Some(&rate) = args.failure_rates.first() {
         // The Phase-I insertion interval follows Young's formula from
-        // the failure rate (per second → per cost unit, 1 unit = 1 ms).
+        // the failure rate (per second → per cost unit, 1 unit = 1 ms),
+        // which has no interval at rate 0.
+        if rate == 0.0 {
+            return Err("--failure-rate 0 gives Phase I no checkpoint interval; \
+                        the analysis needs a positive rate"
+                .into());
+        }
         if let Some(ic) = &mut cfg.insertion {
             ic.failure_rate_per_unit = rate / 1000.0;
         }
     }
-    cfg
+    Ok(cfg)
 }
 
 /// Writes the captured wall-span forest as folded stack lines (the
@@ -388,7 +411,7 @@ fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         acfc::obs::set_enabled(true);
         let _ = acfc::obs::take_wall_spans(); // start from a clean log
     }
-    let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
+    let analysis = analyze(&program, &analysis_config(args)?).map_err(|e| e.to_string())?;
     // The profile files are written before the report, so a reader that
     // leaves early can only cut the text on stdout.
     let mut notes = Vec::new();
@@ -407,11 +430,6 @@ fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         }
         if let Some(path) = &args.folded {
             notes.push(write_folded(path, &spans)?);
-        }
-        if spans.is_empty() {
-            notes.push(
-                "note: binary built without the `obs` feature; spans are compiled out".into(),
-            );
         }
     }
     write!(out, "{}", analysis.report())?;
@@ -583,9 +601,6 @@ fn cmd_run_real(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> 
 }
 
 fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
-    if args.nprocs == 0 {
-        return Err(acfc::protocols::ConfigError::ZeroProcs.into());
-    }
     if args.real {
         return cmd_run_real(args, out);
     }
@@ -603,7 +618,7 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     )?;
     let mut program = load(args)?;
     if args.do_analyze {
-        let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
+        let analysis = analyze(&program, &analysis_config(args)?).map_err(|e| e.to_string())?;
         program = analysis.program;
     }
     let cfg = SimConfig::new(args.nprocs)
@@ -692,9 +707,10 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         &["--nprocs", "--failure-rate", "--seed", "--input", "--serve"],
     )?;
     let program = load(args)?;
+    let config = analysis_config(args)?;
     acfc::obs::reset();
     acfc::obs::set_enabled(true);
-    let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
+    let analysis = analyze(&program, &config).map_err(|e| e.to_string())?;
     let cfg = SimConfig::new(args.nprocs)
         .with_seed(args.seed)
         .with_inputs(args.inputs.clone());
@@ -729,12 +745,6 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     let snap = acfc::obs::snapshot();
     writeln!(out, "\n--- metrics registry ---")?;
     write!(out, "{}", acfc::obs::render(&snap))?;
-    if snap.counters.is_empty() && snap.histograms.is_empty() {
-        writeln!(
-            out,
-            "note: binary built without the `obs` feature; registry metrics are compiled out"
-        )?;
-    }
     if let Some(addr) = &args.serve {
         let server = acfc::obs::serve(addr).map_err(|e| format!("--serve {addr}: {e}"))?;
         writeln!(
@@ -919,11 +929,6 @@ fn cmd_compare_sweep(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Err
         let spans = acfc::obs::take_wall_spans();
         if let Some(path) = &args.folded {
             notes.push(write_folded(path, &spans)?);
-            if spans.is_empty() {
-                notes.push(
-                    "note: binary built without the `obs` feature; spans are compiled out".into(),
-                );
-            }
         }
     }
     if let Some(s) = server {
@@ -1280,16 +1285,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let result = match cmd.as_str() {
-        "check" => to_stdout(|out| cmd_check(&args, out)),
-        "analyze" => to_stdout(|out| cmd_analyze(&args, out)),
-        "run" => to_stdout(|out| cmd_run(&args, out)),
-        "report" => to_stdout(|out| cmd_report(&args, out)),
-        "mpmd" => to_stdout(|out| cmd_mpmd(&args, out)),
-        "compare" => to_stdout(|out| cmd_compare(&args, out)),
-        "figures" => to_stdout(|out| cmd_figures(&args, out)),
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
-    };
+    let result = args
+        .check_values()
+        .map_err(|e| e.to_string())
+        .and_then(|()| match cmd.as_str() {
+            "check" => to_stdout(|out| cmd_check(&args, out)),
+            "analyze" => to_stdout(|out| cmd_analyze(&args, out)),
+            "run" => to_stdout(|out| cmd_run(&args, out)),
+            "report" => to_stdout(|out| cmd_report(&args, out)),
+            "mpmd" => to_stdout(|out| cmd_mpmd(&args, out)),
+            "compare" => to_stdout(|out| cmd_compare(&args, out)),
+            "figures" => to_stdout(|out| cmd_figures(&args, out)),
+            other => Err(format!("unknown command `{other}`\n{}", usage())),
+        });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

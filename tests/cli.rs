@@ -524,26 +524,69 @@ fn nprocs_beyond_the_analysis_limit_is_an_error_not_a_panic() {
 
 #[test]
 fn zero_processes_or_interval_is_an_error_not_a_panic() {
-    let jacobi = ["run", "programs/jacobi.mpsl"];
     let mut cases: Vec<Vec<&str>> = vec![
-        vec!["--nprocs", "0"],
-        vec!["--real", "--nprocs", "0"],
-        vec!["--real", "--det", "--nprocs", "0"],
+        vec!["run", "--nprocs", "0"],
+        vec!["run", "--real", "--nprocs", "0"],
+        vec!["run", "--real", "--det", "--nprocs", "0"],
+        vec!["check", "--nprocs", "0"],
+        vec!["analyze", "--nprocs", "0"],
+        vec!["report", "--nprocs", "0"],
+        vec!["compare", "--nprocs", "0"],
     ];
     for protocol in ["c-l", "sas", "uncoordinated", "index"] {
         for det in [&[][..], &["--det"]] {
-            let mut case = vec!["--real", "--interval-us", "0", "--protocol", protocol];
+            let mut case = vec![
+                "run",
+                "--real",
+                "--interval-us",
+                "0",
+                "--protocol",
+                protocol,
+            ];
             case.extend_from_slice(det);
             cases.push(case);
         }
     }
     for case in cases {
-        let args: Vec<&str> = jacobi.iter().chain(&case).copied().collect();
-        let out = acfc(&args);
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        assert!(err.contains("error:"), "{args:?}: {err}");
-        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        let mut args = case;
+        args.insert(1, "programs/jacobi.mpsl");
+        assert_error_not_panic(&args);
+    }
+}
+
+/// Checks that `args` fails with exit 1 and an `error:` line, not a
+/// panic; returns its stderr.
+fn assert_error_not_panic(args: &[&str]) -> String {
+    let out = acfc(args);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(err.contains("error:"), "{args:?}: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+    err
+}
+
+#[test]
+fn unusable_failure_rate_is_an_error_not_a_panic() {
+    let program = "programs/no_checkpoints.mpsl";
+    for rate in ["0", "-1", "nan", "inf"] {
+        for cmd in [&["analyze"][..], &["report"], &["run", "--analyze"]] {
+            let mut args = cmd.to_vec();
+            args.extend([program, "--failure-rate", rate]);
+            assert_error_not_panic(&args);
+        }
+    }
+    // Without the analysis a zero rate is a failure-free run; the
+    // others are rejected by every subcommand, with the sweep's words.
+    for rate in ["-1", "nan", "inf"] {
+        for cmd in [&["run"][..], &["compare"], &["compare", "--sweep"]] {
+            let mut args = cmd.to_vec();
+            args.extend([program, "--failure-rate", rate]);
+            let err = assert_error_not_panic(&args);
+            assert!(
+                err.contains("failure rate must be finite and non-negative"),
+                "{err}"
+            );
+        }
     }
 }
 
