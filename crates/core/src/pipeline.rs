@@ -39,8 +39,6 @@ pub struct AnalysisConfig {
     /// Phase I insertion parameters; `None` disables automatic
     /// insertion (programs are then expected to carry checkpoints).
     pub insertion: Option<InsertionConfig>,
-    /// Whether Phase I equalisation runs.
-    pub equalize: bool,
     /// Phase III iteration cap.
     pub max_iterations: usize,
     /// Reuse Phase II results across Algorithm 3.2 iterations via
@@ -56,7 +54,6 @@ impl Default for AnalysisConfig {
             matching: MatchingMode::FifoOrdered,
             policy: LoopPolicy::Optimized,
             insertion: Some(InsertionConfig::default()),
-            equalize: true,
             max_iterations: 32,
             incremental: true,
         }
@@ -151,6 +148,9 @@ pub enum AnalysisError {
         /// The largest `nprocs` supported ([`MAX_ANALYSIS_RANKS`]).
         limit: usize,
     },
+    /// Phase I insertion was asked for with a failure rate that is not
+    /// finite and positive, which gives no checkpoint interval.
+    BadFailureRate(f64),
 }
 
 impl std::fmt::Display for AnalysisError {
@@ -170,6 +170,11 @@ impl std::fmt::Display for AnalysisError {
             AnalysisError::TooManyProcesses { nprocs, limit } => write!(
                 f,
                 "nprocs = {nprocs} is beyond the analysis limit of {limit} processes"
+            ),
+            AnalysisError::BadFailureRate(rate) => write!(
+                f,
+                "a failure rate of {rate} gives Phase I no checkpoint interval; \
+                 the analysis needs a finite positive rate"
             ),
         }
     }
@@ -205,7 +210,10 @@ pub fn check_nprocs(nprocs: usize) -> Result<(), AnalysisError> {
 /// # Errors
 ///
 /// [`AnalysisError::TooManyProcesses`] if `config.nprocs` is above
-/// [`MAX_ANALYSIS_RANKS`]; [`AnalysisError::Invalid`] if the program
+/// [`MAX_ANALYSIS_RANKS`]; [`AnalysisError::BadFailureRate`] if Phase I
+/// insertion is on with a failure rate that is not finite and positive
+/// (checked before Phase I, whether or not the program already carries
+/// checkpoints); [`AnalysisError::Invalid`] if the program
 /// fails validation; [`AnalysisError::Phase3`] if Algorithm 3.2 cannot
 /// establish Condition 1 within the iteration cap.
 ///
@@ -224,6 +232,12 @@ pub fn check_nprocs(nprocs: usize) -> Result<(), AnalysisError> {
 pub fn analyze(program: &Program, config: &AnalysisConfig) -> Result<Analysis, AnalysisError> {
     let _pipeline = acfc_obs::span("core/analyze");
     check_nprocs(config.nprocs)?;
+    if let Some(ic) = &config.insertion {
+        let rate = ic.failure_rate_per_unit;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(AnalysisError::BadFailureRate(rate));
+        }
+    }
     let errors = acfc_mpsl::validate(program);
     if !errors.is_empty() {
         return Err(AnalysisError::Invalid(errors));
@@ -243,11 +257,9 @@ pub fn analyze(program: &Program, config: &AnalysisConfig) -> Result<Analysis, A
                 None => 0,
             }
         };
-        let equalized = if config.equalize {
+        let equalized = {
             let _equalize = acfc_obs::span("core/phase1/equalize");
             equalize_checkpoints(&mut prepared)
-        } else {
-            0
         };
         (inserted, equalized)
     };
@@ -324,6 +336,32 @@ mod tests {
         ));
         let msg = err.to_string();
         assert!(msg.contains("nprocs = 129") && msg.contains("128"), "{msg}");
+    }
+
+    /// A rate with no Young interval is refused before Phase I, also for
+    /// a program that already carries checkpoints (which Phase I would
+    /// leave alone).
+    #[test]
+    fn unusable_failure_rate_is_an_error_not_a_panic() {
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let bare = parse("program t; compute 5;").unwrap();
+            for p in [programs::jacobi(3), bare] {
+                let mut cfg = AnalysisConfig::for_nprocs(4);
+                cfg.insertion.as_mut().unwrap().failure_rate_per_unit = rate;
+                let err = analyze(&p, &cfg).unwrap_err();
+                assert!(
+                    matches!(err, AnalysisError::BadFailureRate(r) if r.to_bits() == rate.to_bits()),
+                    "{err:?}"
+                );
+                assert!(err.to_string().contains("failure rate"), "{err}");
+            }
+        }
+        // With insertion off, the rate is never read.
+        let cfg = AnalysisConfig {
+            insertion: None,
+            ..AnalysisConfig::for_nprocs(4)
+        };
+        assert!(analyze(&programs::jacobi(3), &cfg).is_ok());
     }
 
     #[test]

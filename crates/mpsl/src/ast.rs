@@ -516,18 +516,6 @@ impl Program {
         self.params.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Replaces the default value of parameter `name`, returning `false`
-    /// if the parameter is not declared.
-    pub fn set_param(&mut self, name: &str, value: i64) -> bool {
-        for (n, v) in &mut self.params {
-            if n == name {
-                *v = value;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Rewrites every collective statement (`bcast`, `exchange`) into its
     /// point-to-point reduction, as §3.2 prescribes, and renumbers.
     ///
@@ -687,12 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn param_roundtrip() {
-        let mut p = sample();
+    fn param_lookup() {
+        let p = sample();
         assert_eq!(p.param("iters"), Some(4));
-        assert!(p.set_param("iters", 9));
-        assert_eq!(p.param("iters"), Some(9));
-        assert!(!p.set_param("missing", 1));
+        assert_eq!(p.param("missing"), None);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! The crate offers four ways in:
 //!
-//! * [`parse`] — the textual surface syntax,
-//! * [`builder::ProgramBuilder`] — programmatic construction,
+//! * [`parse`] — the textual surface syntax (tests and generators write
+//!   MPSL text and parse it too),
 //! * [`programs`] — the paper's running examples (Jacobi, Figures 2/5/6)
 //!   and other stock SPMD patterns,
 //! * [`mpmd`] — combining multiple per-role programs into one SPMD
@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod builder;
 pub mod expr;
 pub mod lexer;
 pub mod lowered;

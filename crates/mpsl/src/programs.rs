@@ -511,11 +511,8 @@ mod tests {
     }
 
     #[test]
-    fn params_are_overridable() {
-        let mut p = ring(3, 512);
-        assert_eq!(p.param("iters"), Some(3));
-        assert!(p.set_param("iters", 10));
-        assert_eq!(p.param("iters"), Some(10));
+    fn ring_declares_its_iteration_count() {
+        assert_eq!(ring(3, 512).param("iters"), Some(3));
     }
 
     #[test]

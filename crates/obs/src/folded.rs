@@ -25,6 +25,7 @@
 //! tid, and per-worker imbalance is visible as unequal root widths.
 
 use crate::span::WallSpan;
+use acfc_util::bench::JsonEscaped;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -98,24 +99,6 @@ pub fn folded_lines(spans: &[WallSpan], labels: &[(u64, String)]) -> String {
     out
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the span forest as a speedscope file (evented format, one
 /// profile per thread, microsecond unit) loadable without edits at
 /// <https://www.speedscope.app>. `name` becomes the document title.
@@ -138,11 +121,11 @@ pub fn speedscope_json(spans: &[WallSpan], labels: &[(u64, String)], name: &str)
     let mut out = String::from("{\n");
     out.push_str("  \"$schema\": \"https://www.speedscope.app/file-format-schema.json\",\n");
     out.push_str("  \"exporter\": \"acfc\",\n");
-    let _ = writeln!(out, "  \"name\": \"{}\",", escape(name));
+    let _ = writeln!(out, "  \"name\": \"{}\",", JsonEscaped(name));
     out.push_str("  \"shared\": {\"frames\": [\n");
     for (i, n) in frame_names.iter().enumerate() {
         let comma = if i + 1 < frame_names.len() { "," } else { "" };
-        let _ = writeln!(out, "    {{\"name\": \"{}\"}}{comma}", escape(n));
+        let _ = writeln!(out, "    {{\"name\": \"{}\"}}{comma}", JsonEscaped(n));
     }
     out.push_str("  ]},\n");
     out.push_str("  \"profiles\": [\n");
@@ -156,7 +139,7 @@ pub fn speedscope_json(spans: &[WallSpan], labels: &[(u64, String)], name: &str)
         let _ = writeln!(
             out,
             "     \"name\": \"{}\",",
-            escape(&thread_frame(tid, labels))
+            JsonEscaped(&thread_frame(tid, labels))
         );
         let _ = writeln!(out, "     \"unit\": \"microseconds\",");
         let _ = writeln!(out, "     \"startValue\": {start},");

@@ -4,8 +4,8 @@
 //! incremental Phase III, the lowered-bytecode engine) was built on
 //! end-to-end wall-clock numbers; this crate adds the *interior* view:
 //! where the time goes inside an analysis pass, and where simulated
-//! time goes inside a run. It is deliberately zero-dependency and has
-//! one gate: the runtime flag [`set_enabled`] (read by [`enabled`]).
+//! time goes inside a run. It has no registry dependencies (it borrows
+//! only `acfc-util`'s JSON string escaping) and has one gate: the runtime flag [`set_enabled`] (read by [`enabled`]).
 //! Every probe first checks that one relaxed atomic; the disabled cost
 //! is a single predictable branch, preserving the `NoHooks` simulator
 //! hot path and the analysis throughput numbers.
@@ -20,7 +20,7 @@
 //! * the **registry** — a process-global, thread-safe, hierarchical
 //!   (slash-separated names) table behind [`count`], [`record`],
 //!   [`snapshot`], and [`reset`].
-//! * [`span`] — RAII wall-clock timers. Each span records its duration
+//! * [`span()`] — RAII wall-clock timers. Each span records its duration
 //!   into the registry histogram of the same name and appends a
 //!   begin/end pair to a global timeline for Perfetto export
 //!   ([`take_wall_spans`], [`perfetto::wall_spans_trace`]).
@@ -30,7 +30,7 @@
 //! * [`folded`] — collapses the same span forest into folded stack
 //!   lines (`inferno`/flamegraph.pl) and a speedscope JSON document,
 //!   the flamegraph-native complements of the Perfetto timeline.
-//! * [`serve`] — a zero-dependency `std::net::TcpListener` endpoint
+//! * [`serve`](mod@serve) — a zero-dependency `std::net::TcpListener` endpoint
 //!   exposing the registry in Prometheus text exposition format, so
 //!   long sweeps can be scraped or curl'd mid-run.
 //! * [`report`] — plain-text rendering of a [`Snapshot`] for

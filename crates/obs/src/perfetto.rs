@@ -15,6 +15,7 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::span::WallSpan;
+use acfc_util::bench::JsonEscaped;
 use std::fmt::Write as _;
 
 /// Event phase, a subset of the trace event format sufficient for the
@@ -64,23 +65,6 @@ pub struct TraceBuilder {
     events: Vec<Event>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl TraceBuilder {
     /// An empty trace.
     pub fn new() -> TraceBuilder {
@@ -101,7 +85,7 @@ impl TraceBuilder {
             pid,
             tid: 0,
             id: None,
-            args: Some(format!("\"name\": \"{}\"", escape(name))),
+            args: Some(format!("\"name\": \"{}\"", JsonEscaped(name))),
         });
     }
 
@@ -115,7 +99,7 @@ impl TraceBuilder {
             pid,
             tid,
             id: None,
-            args: Some(format!("\"name\": \"{}\"", escape(name))),
+            args: Some(format!("\"name\": \"{}\"", JsonEscaped(name))),
         });
     }
 
@@ -287,8 +271,8 @@ impl TraceBuilder {
             let _ = write!(
                 out,
                 "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"{}\", \"ts\": {}, \"pid\": {}, \"tid\": {}",
-                escape(&ev.name),
-                escape(ev.cat),
+                JsonEscaped(&ev.name),
+                JsonEscaped(ev.cat),
                 ev.ph.tag(),
                 ev.ts,
                 ev.pid,

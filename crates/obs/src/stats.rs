@@ -210,9 +210,8 @@ pub const BOOTSTRAP_RESAMPLES: u32 = 200;
 /// on huge pools, which only *widens* the interval.
 pub const BOOTSTRAP_MAX_DRAWS: u64 = 4096;
 
-/// splitmix64 — a tiny local generator so the bootstrap stays inside
-/// the crate's zero-dependency budget. Sequence quality is ample for
-/// resampling indices.
+/// splitmix64 — the same sequence as `acfc_util::rng::SplitMix64`.
+/// Sequence quality is ample for resampling indices.
 struct SplitMix(u64);
 
 impl SplitMix {

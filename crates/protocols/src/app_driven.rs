@@ -6,7 +6,7 @@
 //! checkpoint exactly at the analysis-placed statements; no control
 //! messages, no forced checkpoints, no coordination stall. Recovery
 //! rolls back to the straight cut of the deepest common checkpoint
-//! index ([`CutPicker::AlignedSeq`]), which Theorem 3.2 guarantees to be
+//! index ([`CutPicker::AlignedSeq`](acfc_sim::CutPicker::AlignedSeq)), which Theorem 3.2 guarantees to be
 //! a recovery line.
 
 use acfc_core::{analyze, Analysis, AnalysisConfig, AnalysisError};

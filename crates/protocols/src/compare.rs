@@ -155,30 +155,9 @@ impl std::str::FromStr for CicVariant {
 
 /// Largest process count the comparison machinery accepts. The engine's
 /// large-n core (calendar event queue, arena messages, O(Δ) clock
-/// piggybacks) makes thousands of ranks practical; the remaining bound
-/// is a sanity cap well past the paper's Figure 8 range, backed by the
-/// memory guardrail below rather than a hard-coded small fleet.
+/// piggybacks) makes thousands of ranks practical; the bound is a
+/// sanity cap well past the paper's Figure 8 range.
 pub const MAX_COMPARE_PROCS: usize = 4096;
-
-/// Default per-run memory budget for the guardrail, MiB. Large enough
-/// that the full supported range (n = [`MAX_COMPARE_PROCS`]) passes —
-/// the cost estimate at 4096 ranks is ~512 MiB — while still refusing
-/// configurations that a caller-supplied tighter budget rules out.
-pub const DEFAULT_MEMORY_BUDGET_MIB: u64 = 2048;
-
-/// Coarse upper estimate of one simulation run's resident memory at
-/// `n` processes, MiB: n² × 16 bytes plus a per-process allowance for
-/// trace records. The quadratic term is one full-support sparse
-/// checkpoint stamp per process (n entries of 16 bytes), what a run
-/// whose processes all know each other records per round of
-/// checkpoints; the working clocks are sparse and, with the
-/// neighbour-exchange workloads' small supports, far smaller.
-/// Deliberately pessimistic, because it gates runs *before* they
-/// allocate.
-pub fn estimated_run_mib(n: usize) -> u64 {
-    let bytes = 16 * (n as u64) * (n as u64) + 65_536 * n as u64;
-    bytes.div_ceil(1 << 20)
-}
 
 /// A validation failure from [`CompareConfig::builder`] or
 /// [`SweepPlan::builder`](crate::sweep::SweepPlan::builder) — typed, so
@@ -203,18 +182,6 @@ pub enum ConfigError {
     ZeroSeeds,
     /// A failure rate was negative or not finite.
     BadFailureRate(f64),
-    /// A sweep was given no workloads.
-    NoWorkloads,
-    /// The estimated memory for a run at this process count exceeds
-    /// the configured budget (see [`estimated_run_mib`]).
-    MemoryGuardrail {
-        /// The requested process count.
-        n: usize,
-        /// Estimated resident memory for one run, MiB.
-        est_mib: u64,
-        /// The configured budget, MiB.
-        budget_mib: u64,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -230,16 +197,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadFailureRate(r) => {
                 write!(f, "failure rate must be finite and non-negative, got {r}")
             }
-            ConfigError::NoWorkloads => write!(f, "sweep needs at least one workload"),
-            ConfigError::MemoryGuardrail {
-                n,
-                est_mib,
-                budget_mib,
-            } => write!(
-                f,
-                "a run at {n} processes is estimated at {est_mib} MiB, \
-                 over the {budget_mib} MiB memory budget"
-            ),
         }
     }
 }
@@ -272,7 +229,6 @@ impl CompareConfig {
             skew_us: None,
             seed: None,
             failures: FailurePlan::none(),
-            memory_budget_mib: DEFAULT_MEMORY_BUDGET_MIB,
         }
     }
 }
@@ -287,7 +243,6 @@ pub struct CompareConfigBuilder {
     skew_us: Option<u64>,
     seed: Option<u64>,
     failures: FailurePlan,
-    memory_budget_mib: u64,
 }
 
 impl CompareConfigBuilder {
@@ -315,14 +270,6 @@ impl CompareConfigBuilder {
         self
     }
 
-    /// Memory budget for the guardrail, MiB (default
-    /// [`DEFAULT_MEMORY_BUDGET_MIB`]). [`build`](Self::build) refuses
-    /// process counts whose estimated footprint exceeds it.
-    pub fn memory_budget_mib(mut self, budget_mib: u64) -> Self {
-        self.memory_budget_mib = budget_mib;
-        self
-    }
-
     /// Validates and produces the config.
     pub fn build(self) -> Result<CompareConfig, ConfigError> {
         if self.n == 0 {
@@ -332,14 +279,6 @@ impl CompareConfigBuilder {
             return Err(ConfigError::TooManyProcs {
                 n: self.n,
                 max: MAX_COMPARE_PROCS,
-            });
-        }
-        let est_mib = estimated_run_mib(self.n);
-        if est_mib > self.memory_budget_mib {
-            return Err(ConfigError::MemoryGuardrail {
-                n: self.n,
-                est_mib,
-                budget_mib: self.memory_budget_mib,
             });
         }
         if self.interval_us == 0 {
@@ -893,43 +832,11 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroInterval
         );
-        // The boundary value itself is accepted, not clamped — the
-        // default memory budget covers the full supported range.
+        // The boundary value itself is accepted, not clamped.
         assert!(CompareConfig::builder(MAX_COMPARE_PROCS).build().is_ok());
         // Errors render as readable sentences for CLI surfaces.
         let msg = ConfigError::TooManyProcs { n: 4097, max: 4096 }.to_string();
         assert!(msg.contains("4097") && msg.contains("4096"), "{msg}");
-    }
-
-    /// A tight caller-supplied budget turns large n into a typed
-    /// refusal before anything allocates, and the estimate is monotone
-    /// so the refusal names a number the caller can reason about.
-    #[test]
-    fn memory_guardrail_refuses_over_budget_configs() {
-        let err = CompareConfig::builder(1024)
-            .memory_budget_mib(8)
-            .build()
-            .unwrap_err();
-        match err {
-            ConfigError::MemoryGuardrail {
-                n,
-                est_mib,
-                budget_mib,
-            } => {
-                assert_eq!(n, 1024);
-                assert_eq!(budget_mib, 8);
-                assert!(est_mib > 8, "{est_mib}");
-                assert_eq!(est_mib, estimated_run_mib(1024));
-            }
-            other => panic!("expected MemoryGuardrail, got {other:?}"),
-        }
-        let msg = err.to_string();
-        assert!(msg.contains("1024") && msg.contains("budget"), "{msg}");
-        // Small fleets sail far under the default budget, and the
-        // estimate grows with n.
-        assert!(CompareConfig::builder(16).build().is_ok());
-        assert!(estimated_run_mib(4096) <= DEFAULT_MEMORY_BUDGET_MIB);
-        assert!(estimated_run_mib(256) < estimated_run_mib(2048));
     }
 
     #[test]

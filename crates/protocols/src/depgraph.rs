@@ -121,7 +121,7 @@ pub fn max_consistent_line_of(trace: &Trace) -> Vec<u64> {
     max_consistent_line(&index, trace.messages.iter())
 }
 
-/// A [`CutPicker`] that restores the maximal consistent line over the
+/// A [`CutPicker`](acfc_sim::CutPicker) that restores the maximal consistent line over the
 /// live checkpoints, by rollback propagation. Coincides with
 /// latest-per-process whenever the latest checkpoints already form a
 /// recovery line (a tight coordinated wave), and backs off the minimal

@@ -18,7 +18,7 @@
 //!   `M(C-L) = 2n(n−1)(w_m + 8·w_b)`;
 //! * [`cic`] — the communication-induced checkpointing family (the
 //!   founding index-based member plus BCS, the vector-carrying HMNR,
-//!   and lazy indexing) behind the [`CicIndexing`](cic::CicIndexing)
+//!   and lazy indexing) behind the [`CicIndexing`]
 //!   trait, with forced checkpoints and Z-cycle-free guarantees;
 //! * [`compare`] — the head-to-head harness producing measured
 //!   overhead ratios (the empirical companion to Figures 8–9).
@@ -52,9 +52,9 @@ pub use app_driven::AppDriven;
 pub use chandy_lamport::{cl_control_messages, ChandyLamport};
 pub use cic::{CicIndexing, CicProtocol, CicVariant};
 pub use compare::{
-    compare_all, estimated_run_mib, render_table, run_protocol, run_protocol_against,
-    run_protocol_timeline, CompareConfig, CompareConfigBuilder, ConfigError, ParseProtocolError,
-    PreparedProgram, ProtocolKind, RunStats, DEFAULT_MEMORY_BUDGET_MIB, MAX_COMPARE_PROCS,
+    compare_all, render_table, run_protocol, run_protocol_against, run_protocol_timeline,
+    CompareConfig, CompareConfigBuilder, ConfigError, ParseProtocolError, PreparedProgram,
+    ProtocolKind, RunStats, MAX_COMPARE_PROCS,
 };
 pub use coordinator::CheckpointCoordinator;
 pub use depgraph::{
@@ -66,7 +66,7 @@ pub use domino::{domino_report, domino_stream, DominoReport};
 pub use sas::{sas_control_messages, SyncAndStop};
 pub use sweep::{
     render_agg_json, run_sweep, run_sweep_threads, AggRow, CellSpec, CollectSink, JsonlSink,
-    Progress, ProgressSink, RowSink, SweepArtifact, SweepPlan, SweepPlanBuilder, SweepRow,
-    SweepSummary, TableSink, TelemetrySink, Workload, PROGRESS_WINDOW, STRAGGLER_FACTOR,
+    Progress, ProgressSink, RowSink, SweepPlan, SweepPlanBuilder, SweepSummary, TableSink,
+    TelemetrySink, Workload, PROGRESS_WINDOW, STRAGGLER_FACTOR,
 };
 pub use uncoordinated::{uncoordinated_hooks, uncoordinated_picker};

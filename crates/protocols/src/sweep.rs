@@ -110,11 +110,10 @@ pub struct SweepPlanBuilder {
     ns: Vec<usize>,
     seeds_per_cell: u64,
     lambdas: Vec<f64>,
-    workloads: Option<Vec<Workload>>,
+    workloads: Vec<Workload>,
     cic_variants: Vec<CicVariant>,
     interval_us: u64,
     seed: u64,
-    memory_budget_mib: u64,
 }
 
 impl SweepPlan {
@@ -128,11 +127,10 @@ impl SweepPlan {
             ns: vec![2, 4, 8],
             seeds_per_cell: 3,
             lambdas: vec![1.0],
-            workloads: None,
+            workloads: Vec::new(),
             cic_variants: CicVariant::all().to_vec(),
             interval_us: 60_000,
             seed: 0xACFC,
-            memory_budget_mib: crate::compare::DEFAULT_MEMORY_BUDGET_MIB,
         }
     }
 
@@ -260,13 +258,7 @@ impl SweepPlanBuilder {
 
     /// Adds one workload to the matrix.
     pub fn workload(mut self, w: Workload) -> Self {
-        self.workloads.get_or_insert_with(Vec::new).push(w);
-        self
-    }
-
-    /// Replaces the workload matrix.
-    pub fn workloads(mut self, ws: Vec<Workload>) -> Self {
-        self.workloads = Some(ws);
+        self.workloads.push(w);
         self
     }
 
@@ -291,16 +283,6 @@ impl SweepPlanBuilder {
         self
     }
 
-    /// Memory budget for the per-run guardrail, MiB (default
-    /// [`DEFAULT_MEMORY_BUDGET_MIB`](crate::compare::DEFAULT_MEMORY_BUDGET_MIB)).
-    /// [`build`](Self::build) refuses any swept `n` whose estimated
-    /// footprint ([`estimated_run_mib`](crate::compare::estimated_run_mib))
-    /// exceeds it.
-    pub fn memory_budget_mib(mut self, budget_mib: u64) -> Self {
-        self.memory_budget_mib = budget_mib;
-        self
-    }
-
     /// Validates and produces the plan.
     pub fn build(self) -> Result<SweepPlan, ConfigError> {
         if self.ns.is_empty() {
@@ -314,14 +296,6 @@ impl SweepPlanBuilder {
                 return Err(ConfigError::TooManyProcs {
                     n,
                     max: MAX_COMPARE_PROCS,
-                });
-            }
-            let est_mib = crate::compare::estimated_run_mib(n);
-            if est_mib > self.memory_budget_mib {
-                return Err(ConfigError::MemoryGuardrail {
-                    n,
-                    est_mib,
-                    budget_mib: self.memory_budget_mib,
                 });
             }
         }
@@ -339,10 +313,10 @@ impl SweepPlanBuilder {
                 return Err(ConfigError::BadFailureRate(l));
             }
         }
-        let workloads = match self.workloads {
-            None => vec![Workload::jacobi()],
-            Some(ws) if ws.is_empty() => return Err(ConfigError::NoWorkloads),
-            Some(ws) => ws,
+        let workloads = if self.workloads.is_empty() {
+            vec![Workload::jacobi()]
+        } else {
+            self.workloads
         };
         let cic_variants: Vec<CicVariant> = CicVariant::all()
             .into_iter()
@@ -1215,62 +1189,6 @@ pub fn render_agg_json(rows: &[AggRow]) -> String {
         .render()
 }
 
-// ---------------------------------------------------------------------
-// Single-seed rows (the CLI's one-shot `--sweep` table/artifact shape).
-// ---------------------------------------------------------------------
-
-/// One sweep row: a protocol's stats at one `n` (single seed).
-#[derive(Debug, Clone)]
-pub struct SweepRow {
-    /// Process count.
-    pub n: usize,
-    /// Measured stats.
-    pub stats: RunStats,
-}
-
-/// The machine-readable single-seed comparison artifact: a workload
-/// name plus one flat stats object per (`n`, protocol) run — typed,
-/// where the former free function took a loose string and a slice.
-#[derive(Debug, Clone)]
-pub struct SweepArtifact {
-    /// Workload display name.
-    pub workload: String,
-    /// The runs, in row order.
-    pub runs: Vec<SweepRow>,
-}
-
-impl SweepArtifact {
-    /// Bundles rows under a workload name.
-    pub fn new(workload: impl Into<String>, runs: Vec<SweepRow>) -> SweepArtifact {
-        SweepArtifact {
-            workload: workload.into(),
-            runs,
-        }
-    }
-
-    /// Serialises the artifact as one JSON document (same schema the
-    /// former `render_sweep_json` emitted: `workload` plus a `runs`
-    /// array of flat per-run objects).
-    pub fn to_json(&self) -> String {
-        let runs: Vec<String> = self
-            .runs
-            .iter()
-            .map(|r| {
-                r.stats
-                    .json(r.n)
-                    .render()
-                    .lines()
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect();
-        Json::new()
-            .str("workload", &self.workload)
-            .raw("runs", format!("[\n  {}\n  ]", runs.join(",\n  ")))
-            .render()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1310,21 +1228,7 @@ mod tests {
             SweepPlan::builder().ns([4097usize]).build().unwrap_err(),
             ConfigError::TooManyProcs { n: 4097, max: 4096 }
         );
-        // Within the cap but over a caller-tightened memory budget: the
-        // guardrail refuses with the estimate it computed.
-        assert_eq!(
-            SweepPlan::builder()
-                .ns([2048usize])
-                .memory_budget_mib(16)
-                .build()
-                .unwrap_err(),
-            ConfigError::MemoryGuardrail {
-                n: 2048,
-                est_mib: crate::compare::estimated_run_mib(2048),
-                budget_mib: 16,
-            }
-        );
-        // The full supported range passes the default budget.
+        // The cap itself is accepted, not clamped.
         assert!(SweepPlan::builder().ns([4096usize]).build().is_ok());
         assert_eq!(
             SweepPlan::builder().seeds_per_cell(0).build().unwrap_err(),
@@ -1340,13 +1244,6 @@ mod tests {
                 .build()
                 .unwrap_err(),
             ConfigError::BadFailureRate(-1.0)
-        );
-        assert_eq!(
-            SweepPlan::builder()
-                .workloads(Vec::new())
-                .build()
-                .unwrap_err(),
-            ConfigError::NoWorkloads
         );
     }
 
@@ -1598,36 +1495,6 @@ mod tests {
         assert_eq!(collect.rows.len(), 16);
         assert!(collect.rows[..8].iter().all(|r| r.workload == "jacobi"));
         assert!(collect.rows[8..].iter().all(|r| r.workload == "pingpong"));
-    }
-
-    /// The single-seed row shape `acfc compare --json` writes: a typed
-    /// artifact built from `compare_all` stats.
-    #[test]
-    fn single_seed_rows_build_a_typed_artifact() {
-        let cc = CompareConfig::builder(2).build().unwrap();
-        let program = programs::jacobi(10);
-        let rows: Vec<SweepRow> = ProtocolKind::all()
-            .into_iter()
-            .map(|kind| SweepRow {
-                n: 2,
-                stats: crate::compare::run_protocol(&program, kind, &cc),
-            })
-            .collect();
-        assert_eq!(rows.len(), 8);
-        for r in &rows {
-            assert!(
-                r.stats.completed,
-                "{} did not complete",
-                r.stats.protocol.name()
-            );
-            assert!(r.stats.overhead_ratio.is_finite());
-        }
-        let json = SweepArtifact::new("jacobi", rows).to_json();
-        assert!(json.contains("\"workload\": \"jacobi\""));
-        for kind in ProtocolKind::all() {
-            assert!(json.contains(&format!("\"protocol\": \"{}\"", kind.name())));
-        }
-        assert_eq!(json.matches("\"msg_latency_p99_us\"").count(), 8);
     }
 
     #[test]

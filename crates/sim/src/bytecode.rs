@@ -154,11 +154,10 @@ impl Compiled {
     }
 
     /// Parameter values by slot ([`Compiled::param_names`] order): the
-    /// program header's defaults, then `overrides` (later entries win);
-    /// `None` = referenced but never bound.
-    pub fn bind_params(&self, overrides: &[(String, i64)]) -> Vec<Option<i64>> {
+    /// program header's defaults; `None` = referenced but never bound.
+    pub fn bind_params(&self) -> Vec<Option<i64>> {
         let mut params = vec![None; self.param_names.len()];
-        for (k, v) in self.params.iter().chain(overrides) {
+        for (k, v) in &self.params {
             if let Some(s) = self.param_names.iter().position(|p| p == k) {
                 params[s] = Some(*v);
             }

@@ -11,7 +11,7 @@
 //!
 //! Three representations share one logical type:
 //!
-//! * **inline** — up to [`INLINE`] components in a fixed buffer, so a
+//! * **inline** — up to `INLINE` (8) components in a fixed buffer, so a
 //!   clone into a record is a plain memcpy (every bench-sized n);
 //! * **dense heap** — a `Vec<u64>` beyond that (the engine's working
 //!   clocks in dense mode, so up to `DENSE_CLOCK_MAX` processes by

@@ -137,8 +137,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Program input vector (`input(k)` reads `inputs[k]`).
     pub inputs: Vec<i64>,
-    /// Parameter overrides applied on top of the program defaults.
-    pub param_overrides: Vec<(String, i64)>,
     /// Network delay model.
     pub net: NetworkModel,
     /// Local cost model.
@@ -156,7 +154,6 @@ impl SimConfig {
             nprocs,
             seed: 0xACFC,
             inputs: Vec::new(),
-            param_overrides: Vec::new(),
             net: NetworkModel::default(),
             cost: CostModel::default(),
             max_steps_per_proc: 2_000_000,
@@ -173,12 +170,6 @@ impl SimConfig {
     /// Sets the input vector.
     pub fn with_inputs(mut self, inputs: Vec<i64>) -> SimConfig {
         self.inputs = inputs;
-        self
-    }
-
-    /// Adds a parameter override.
-    pub fn with_param(mut self, name: &str, value: i64) -> SimConfig {
-        self.param_overrides.push((name.to_string(), value));
         self
     }
 
@@ -242,13 +233,9 @@ mod tests {
 
     #[test]
     fn builder_methods() {
-        let cfg = SimConfig::new(4)
-            .with_seed(7)
-            .with_inputs(vec![1, 2])
-            .with_param("iters", 9);
+        let cfg = SimConfig::new(4).with_seed(7).with_inputs(vec![1, 2]);
         assert_eq!(cfg.nprocs, 4);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.inputs, vec![1, 2]);
-        assert_eq!(cfg.param_overrides, vec![("iters".to_string(), 9)]);
     }
 }

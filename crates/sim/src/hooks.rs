@@ -142,8 +142,6 @@ impl Hooks for NoHooks {
 pub struct TimerCheckpoints {
     intervals: Vec<u64>,
     next_due: Vec<u64>,
-    /// Whether application checkpoint statements are honoured too.
-    pub keep_app_checkpoints: bool,
 }
 
 impl TimerCheckpoints {
@@ -156,14 +154,13 @@ impl TimerCheckpoints {
             next_due: (0..nprocs)
                 .map(|p| interval_us + p as u64 * skew_us)
                 .collect(),
-            keep_app_checkpoints: false,
         }
     }
 }
 
 impl Hooks for TimerCheckpoints {
     fn take_app_checkpoint(&mut self, _p: usize, _now: SimTime) -> bool {
-        self.keep_app_checkpoints
+        false
     }
 
     fn timer_checkpoint_due(&mut self, p: usize, now: SimTime) -> bool {
@@ -229,11 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn app_checkpoints_suppressed_by_default() {
+    fn app_checkpoints_suppressed() {
         let mut h = TimerCheckpoints::new(1, 100, 0);
         assert!(!h.take_app_checkpoint(0, SimTime::ZERO));
-        h.keep_app_checkpoints = true;
-        assert!(h.take_app_checkpoint(0, SimTime::ZERO));
     }
 
     #[test]

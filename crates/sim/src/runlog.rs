@@ -6,6 +6,8 @@
 //! CI smoke job validates recovery transcripts from this format).
 
 use crate::trace::CkptTrigger;
+use acfc_util::bench::JsonEscaped;
+use std::fmt::Write as _;
 
 /// Stable lowercase name of a checkpoint trigger.
 pub fn trigger_name(t: CkptTrigger) -> &'static str {
@@ -96,20 +98,9 @@ pub enum RunEvent {
     },
 }
 
+/// Appends `s` to `out` as a JSON string literal.
 fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let _ = write!(out, "\"{}\"", JsonEscaped(s));
 }
 
 impl RunEvent {

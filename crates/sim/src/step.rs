@@ -91,13 +91,13 @@ pub struct Stepper<'a> {
 }
 
 impl<'a> Stepper<'a> {
-    /// A stepper for `compiled` with `config`'s parameter overrides,
-    /// inputs and cost model.
+    /// A stepper for `compiled` with its declared parameters and
+    /// `config`'s inputs and cost model.
     pub fn new(compiled: &'a Compiled, config: &'a SimConfig) -> Stepper<'a> {
         Stepper {
             compiled,
             config,
-            params: compiled.bind_params(&config.param_overrides),
+            params: compiled.bind_params(),
             stack: Vec::new(),
             nprocs: config.nprocs,
             instr_us: config.cost.instr_overhead_us,

@@ -43,15 +43,6 @@ fn single_process_run() {
 }
 
 #[test]
-fn param_override_changes_iteration_count() {
-    let p = acfc_mpsl::programs::jacobi(3);
-    let c = compile(&p);
-    let t = run(&c, &SimConfig::new(2).with_param("iters", 7));
-    assert!(t.completed());
-    assert_eq!(t.checkpoint_counts(), vec![7, 7]);
-}
-
-#[test]
 fn inputs_steer_control_flow() {
     let p = parse(
         "program t;

@@ -2,8 +2,11 @@
 //!
 //! [`time_once`] times one macro run (the `benchmark/` package's
 //! timer). [`Json`] is the insertion-ordered object writer behind the
-//! sweep and compare JSON / JSONL artifacts.
+//! sweep and compare JSON / JSONL artifacts; [`JsonEscaped`] is the
+//! string escaping it shares with every other JSON writer in the
+//! workspace (trace exports, flame graphs, run logs).
 
+use std::fmt;
 use std::time::Instant;
 
 /// Times a single run of `f` (for macro measurements where one
@@ -12,6 +15,37 @@ pub fn time_once<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t = Instant::now();
     let r = f();
     (r, t.elapsed().as_secs_f64())
+}
+
+/// Displays a string as the body of a JSON string literal (without the
+/// surrounding quotes): `"` and `\` are escaped, and so is every
+/// control character, so the text never ends a string early or breaks
+/// a JSONL line.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonEscaped<'a>(pub &'a str);
+
+impl fmt::Display for JsonEscaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        let mut clean = 0;
+        for (i, c) in s.char_indices() {
+            if !matches!(c, '"' | '\\' | '\0'..='\x1f') {
+                continue;
+            }
+            f.write_str(&s[clean..i])?;
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
+            }
+            // Every escaped character is one byte.
+            clean = i + 1;
+        }
+        f.write_str(&s[clean..])
+    }
 }
 
 /// A tiny JSON object writer (insertion-ordered, no external deps).
@@ -41,11 +75,10 @@ impl Json {
         self
     }
 
-    /// Adds a string field (escaping quotes and backslashes).
+    /// Adds a string field (escaped by [`JsonEscaped`]).
     pub fn str(mut self, key: &str, value: &str) -> Json {
-        let escaped = value.replace('\\', "\\\\").replace('"', "\\\"");
         self.fields
-            .push((key.to_string(), format!("\"{escaped}\"")));
+            .push((key.to_string(), format!("\"{}\"", JsonEscaped(value))));
         self
     }
 
@@ -101,6 +134,17 @@ mod tests {
         assert!(text.contains("\"count\": 3,"));
         assert!(text.contains("\"ratio\": 0.500000"));
         assert!(text.contains("\"x\": 1"));
+    }
+
+    /// A control character in a string field is escaped, so a JSONL
+    /// row stays one line and the document stays valid JSON.
+    #[test]
+    fn json_escapes_control_characters() {
+        let line = Json::new()
+            .str("name", "two\nlines\r\tand \u{1}\u{1f} é")
+            .render_line();
+        assert_eq!(line, "{\"name\":\"two\\nlines\\r\\tand \\u0001\\u001f é\"}");
+        assert!(!line.chars().any(|c| (c as u32) < 0x20), "{line:?}");
     }
 
     #[test]

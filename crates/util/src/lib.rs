@@ -12,8 +12,9 @@
 //!   sweeps. Honors `ACFC_THREADS` and `std::thread::available_parallelism`.
 //! * [`check`] — a miniature property-test harness (seeded generators +
 //!   a `forall` runner) replacing the former `proptest` dev-dependency.
-//! * [`bench`] — a one-shot wall-clock timer for the `benchmark/`
-//!   package and a tiny JSON writer for the sweep and compare artifacts.
+//! * [`bench`](mod@bench) — a one-shot wall-clock timer for the `benchmark/`
+//!   package, a tiny JSON writer for the sweep and compare artifacts,
+//!   and the workspace's one JSON string escaper.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! acfc check   <file.mpsl> [--nprocs N]          # parse, validate, check Condition 1
-//! acfc analyze <file.mpsl> [--nprocs N] [--emit] [--dot] [--profile out.json]
-//!              [--folded out.folded]
-//! acfc run     <file.mpsl> [--nprocs N] [--seed S] [--analyze] [--input V]...
-//!              [--profile out.json]
+//! acfc analyze <file.mpsl> [--nprocs N] [--failure-rate L] [--emit] [--dot]
+//!              [--profile out.json] [--folded out.folded]
+//! acfc run     <file.mpsl> [--nprocs N] [--seed S] [--analyze [--failure-rate L]]
+//!              [--input V]... [--trace] [--profile out.json]
 //! acfc run     <file.mpsl> --real [--det] [--protocol P] [--backend mem|file|log]
 //!              [--backend-dir DIR] [--kill p@t]... [--interval-us N] [--jsonl out.jsonl]
-//! acfc report  <file.mpsl> [--nprocs N] [--seed S] [--serve ADDR]
+//! acfc report  <file.mpsl> [--nprocs N] [--seed S] [--failure-rate L] [--serve ADDR]
 //! acfc mpmd    <name> <file.mpsl@FIRST[-LAST]>... # combine MPMD roles into SPMD
 //! acfc figures                                    # regenerate EXPERIMENTS.md's tables
 //! acfc compare <file.mpsl>... [--nprocs N] [--seed S] [--failure-rate L]...
@@ -353,22 +353,15 @@ fn report_then(
     written
 }
 
-fn analysis_config(args: &Args) -> Result<AnalysisConfig, String> {
+fn analysis_config(args: &Args) -> AnalysisConfig {
     let mut cfg = AnalysisConfig::for_nprocs(args.nprocs);
-    if let Some(&rate) = args.failure_rates.first() {
-        // The Phase-I insertion interval follows Young's formula from
-        // the failure rate (per second → per cost unit, 1 unit = 1 ms),
-        // which has no interval at rate 0.
-        if rate == 0.0 {
-            return Err("--failure-rate 0 gives Phase I no checkpoint interval; \
-                        the analysis needs a positive rate"
-                .into());
-        }
-        if let Some(ic) = &mut cfg.insertion {
-            ic.failure_rate_per_unit = rate / 1000.0;
-        }
+    // The Phase-I insertion interval follows Young's formula from the
+    // failure rate (per second → per cost unit, 1 unit = 1 ms);
+    // `analyze` rejects a rate that gives no interval.
+    if let (Some(&rate), Some(ic)) = (args.failure_rates.first(), &mut cfg.insertion) {
+        ic.failure_rate_per_unit = rate / 1000.0;
     }
-    Ok(cfg)
+    cfg
 }
 
 /// Writes the captured wall-span forest as folded stack lines (the
@@ -411,7 +404,7 @@ fn cmd_analyze(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         acfc::obs::set_enabled(true);
         let _ = acfc::obs::take_wall_spans(); // start from a clean log
     }
-    let analysis = analyze(&program, &analysis_config(args)?).map_err(|e| e.to_string())?;
+    let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
     // The profile files are written before the report, so a reader that
     // leaves early can only cut the text on stdout.
     let mut notes = Vec::new();
@@ -604,21 +597,23 @@ fn cmd_run(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     if args.real {
         return cmd_run_real(args, out);
     }
-    args.only(
-        "run",
-        &[
-            "--nprocs",
-            "--seed",
-            "--input",
-            "--analyze",
-            "--failure-rate",
-            "--trace",
-            "--profile",
-        ],
-    )?;
+    let mut reads = vec![
+        "--nprocs",
+        "--seed",
+        "--input",
+        "--analyze",
+        "--trace",
+        "--profile",
+    ];
+    // The rate sets Phase I's checkpoint interval; without the analysis
+    // nothing reads it.
+    if args.do_analyze {
+        reads.push("--failure-rate");
+    }
+    args.only("run", &reads)?;
     let mut program = load(args)?;
     if args.do_analyze {
-        let analysis = analyze(&program, &analysis_config(args)?).map_err(|e| e.to_string())?;
+        let analysis = analyze(&program, &analysis_config(args)).map_err(|e| e.to_string())?;
         program = analysis.program;
     }
     let cfg = SimConfig::new(args.nprocs)
@@ -707,7 +702,7 @@ fn cmd_report(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         &["--nprocs", "--failure-rate", "--seed", "--input", "--serve"],
     )?;
     let program = load(args)?;
-    let config = analysis_config(args)?;
+    let config = analysis_config(args);
     acfc::obs::reset();
     acfc::obs::set_enabled(true);
     let analysis = analyze(&program, &config).map_err(|e| e.to_string())?;
@@ -996,9 +991,9 @@ impl Write for TableOut<'_> {
 fn cmd_compare(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     use acfc::protocols::{
         compare_all, render_table, run_protocol_timeline, CompareConfig, ProtocolKind,
-        SweepArtifact, SweepRow,
     };
     use acfc::sim::{FailurePlan, MergedRun, SimTime};
+    use acfc::util::bench::Json;
     if args.sweep {
         return cmd_compare_sweep(args, out);
     }
@@ -1016,7 +1011,8 @@ fn cmd_compare(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
     )?;
     let program = load(args)?;
     let ns: Vec<usize> = args.ns.clone().unwrap_or_else(|| vec![args.nprocs]);
-    let mut rows: Vec<SweepRow> = Vec::new();
+    // One flat stats object per (n, protocol) run, each on one line.
+    let mut runs: Vec<String> = Vec::new();
     for &n in &ns {
         let mut cc = CompareConfig::builder(n)
             .seed(args.seed)
@@ -1035,13 +1031,20 @@ fn cmd_compare(args: &Args, out: &mut dyn Write) -> Result<(), Box<dyn Error>> {
         let stats = compare_all(&program, &cc);
         writeln!(out, "== {} at n = {n} ==", program.name)?;
         write!(out, "{}", render_table(&stats))?;
-        rows.extend(stats.into_iter().map(|s| SweepRow { n, stats: s }));
+        runs.extend(
+            stats
+                .iter()
+                .map(|s| s.json(n).render().lines().collect::<Vec<_>>().join(" ")),
+        );
     }
     if let Some(path) = &args.json {
-        let artifact = SweepArtifact::new(program.name.clone(), rows);
-        std::fs::write(path, artifact.to_json()).map_err(|e| format!("{path}: {e}"))?;
-        let runs = artifact.runs.len();
-        writeln!(out, "wrote comparison JSON ({runs} run(s)) to {path}")?;
+        let artifact = Json::new()
+            .str("workload", &program.name)
+            .raw("runs", format!("[\n  {}\n  ]", runs.join(",\n  ")))
+            .render();
+        std::fs::write(path, artifact).map_err(|e| format!("{path}: {e}"))?;
+        let count = runs.len();
+        writeln!(out, "wrote comparison JSON ({count} run(s)) to {path}")?;
     }
     if let Some(path) = &args.profile {
         // Merge one timeline run per protocol at the largest n into a

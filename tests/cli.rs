@@ -169,6 +169,32 @@ fn compare_multi_n_emits_one_table_per_n_and_a_json_artifact() {
     assert_eq!(json.matches("\"forced_checkpoints\"").count(), 24);
 }
 
+/// Byte-exact pin of the `--json` artifact: the workload name, one flat
+/// stats object per (n, protocol) run in row order, and the layout.
+#[test]
+fn compare_json_artifact_matches_pinned_snapshot() {
+    let json_path = scratch("compare-json").join("compare.json");
+    let out = acfc(&[
+        "compare",
+        "programs/jacobi.mpsl",
+        "--ns",
+        "2,4",
+        "--json",
+        json_path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = std::fs::read_to_string(&json_path).expect("JSON artifact written");
+    let pinned = std::fs::read_to_string(
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/compare_jacobi_n2_n4.json"),
+    )
+    .expect("pinned artifact");
+    assert_eq!(got, pinned);
+}
+
 #[test]
 fn compare_sweep_streams_ci_rows_and_a_jsonl_artifact() {
     let jsonl_path = scratch("sweep").join("sweep.jsonl");
@@ -575,8 +601,8 @@ fn unusable_failure_rate_is_an_error_not_a_panic() {
             assert_error_not_panic(&args);
         }
     }
-    // Without the analysis a zero rate is a failure-free run; the
-    // others are rejected by every subcommand, with the sweep's words.
+    // Rates no subcommand can run with are rejected by every one, with
+    // the sweep's words.
     for rate in ["-1", "nan", "inf"] {
         for cmd in [&["run"][..], &["compare"], &["compare", "--sweep"]] {
             let mut args = cmd.to_vec();
@@ -588,6 +614,29 @@ fn unusable_failure_rate_is_an_error_not_a_panic() {
             );
         }
     }
+}
+
+/// Only the analysis reads `--failure-rate` in a simulated `run` (it
+/// sets Phase I's checkpoint interval): without `--analyze` the flag is
+/// an error, not a rate that is silently ignored.
+#[test]
+fn run_reads_failure_rate_only_with_analyze() {
+    for rate in ["0", "0.5"] {
+        let err = assert_error_not_panic(&["run", "programs/jacobi.mpsl", "--failure-rate", rate]);
+        assert!(err.contains("`run` does not read --failure-rate"), "{err}");
+    }
+    let out = acfc(&[
+        "run",
+        "programs/jacobi.mpsl",
+        "--analyze",
+        "--failure-rate",
+        "0.5",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

@@ -1,23 +1,23 @@
 //! Property-based validation of the paper's central theorem (E1 in
 //! `EXPERIMENTS.md`).
 //!
-//! A generator produces random — but deadlock-free by construction —
-//! SPMD programs from a vocabulary of communication idioms (neighbour
-//! exchanges, chain pipelines, gathers, ring shifts) with checkpoints
-//! sprinkled at *adversarial* positions (including the Figure-2 style
-//! parity-dependent placements). Each program is pushed through the
-//! full offline pipeline and then executed on the simulator across
-//! process counts and seeds; the property is Theorem 3.2: **every
-//! straight cut of checkpoints in every execution is a recovery
-//! line** — checked both with vector clocks and with the independent
-//! orphan-message oracle.
+//! A generator writes random — but deadlock-free by construction —
+//! SPMD programs as MPSL source text, from a vocabulary of
+//! communication idioms (neighbour exchanges, chain pipelines, gathers,
+//! ring shifts) with checkpoints sprinkled at *adversarial* positions
+//! (including the Figure-2 style parity-dependent placements). Each
+//! program is parsed, pushed through the full offline pipeline and
+//! then executed on the simulator across process counts and seeds;
+//! the property is Theorem 3.2: **every straight cut of checkpoints in
+//! every execution is a recovery line** — checked both with vector
+//! clocks and with the independent orphan-message oracle.
 
 use acfc_core::{analyze, AnalysisConfig};
-use acfc_mpsl::builder::{e, BlockBuilder, ProgramBuilder};
-use acfc_mpsl::Program;
+use acfc_mpsl::{parse, Program};
 use acfc_sim::consistency::{cut_consistency, cut_consistency_oracle};
 use acfc_sim::{compile, run, SimConfig};
 use acfc_util::check::{forall, Gen};
+use std::fmt::Write as _;
 
 /// Where to put a checkpoint relative to a communication idiom.
 #[derive(Debug, Clone, Copy)]
@@ -72,70 +72,53 @@ fn arb_item(g: &mut Gen) -> Item {
     }
 }
 
-fn emit_ckpt(b: &mut BlockBuilder, pos: CkptPos, when: CkptPos) {
+/// Appends `checkpoint;` when the idiom's position `pos` is `when`.
+fn ckpt(s: &mut String, pos: CkptPos, when: CkptPos) {
     if matches!(
         (pos, when),
         (CkptPos::Before, CkptPos::Before) | (CkptPos::After, CkptPos::After)
     ) {
-        b.checkpoint();
+        s.push_str("checkpoint;\n");
     }
 }
 
-fn emit_item(b: &mut BlockBuilder, item: &Item) {
-    match item {
+fn write_item(s: &mut String, item: &Item) {
+    match *item {
         Item::Compute(c) => {
-            b.compute(e::int(*c));
+            let _ = writeln!(s, "compute {c};");
         }
-        Item::Checkpoint => {
-            b.checkpoint();
-        }
+        Item::Checkpoint => s.push_str("checkpoint;\n"),
         Item::ParityExchange { even, odd } => {
-            let comm = |b: &mut BlockBuilder| {
-                b.send(e::right_neighbor(), e::int(512));
-                b.send(e::left_neighbor(), e::int(512));
-                b.recv(e::left_neighbor());
-                b.recv(e::right_neighbor());
-            };
-            let (even, odd) = (*even, *odd);
-            b.if_else(
-                e::rank_is_even(),
-                move |b| {
-                    emit_ckpt(b, even, CkptPos::Before);
-                    comm(b);
-                    emit_ckpt(b, even, CkptPos::After);
-                },
-                move |b| {
-                    emit_ckpt(b, odd, CkptPos::Before);
-                    comm(b);
-                    emit_ckpt(b, odd, CkptPos::After);
-                },
-            );
+            let comm = "send to (rank + 1) % nprocs size 512;\n\
+                        send to (rank - 1) % nprocs size 512;\n\
+                        recv from (rank - 1) % nprocs;\n\
+                        recv from (rank + 1) % nprocs;\n";
+            s.push_str("if rank % 2 == 0 {\n");
+            ckpt(s, even, CkptPos::Before);
+            s.push_str(comm);
+            ckpt(s, even, CkptPos::After);
+            s.push_str("} else {\n");
+            ckpt(s, odd, CkptPos::Before);
+            s.push_str(comm);
+            ckpt(s, odd, CkptPos::After);
+            s.push_str("}\n");
         }
         Item::Chain {
             head_ckpt,
             tail_ckpt,
         } => {
-            let (head, tail) = (*head_ckpt, *tail_ckpt);
-            b.if_else(
-                e::eq(e::rank(), e::int(0)),
-                move |b| {
-                    if head {
-                        b.checkpoint();
-                    }
-                    b.compute(e::int(3));
-                    b.send(e::int(1), e::int(256));
-                },
-                move |b| {
-                    b.recv(e::sub(e::rank(), e::int(1)));
-                    b.compute(e::int(3));
-                    b.if_(e::lt(e::rank(), e::sub(e::nprocs(), e::int(1))), |b| {
-                        b.send(e::add(e::rank(), e::int(1)), e::int(256));
-                    });
-                    if tail {
-                        b.checkpoint();
-                    }
-                },
+            s.push_str("if rank == 0 {\n");
+            if head_ckpt {
+                s.push_str("checkpoint;\n");
+            }
+            s.push_str(
+                "compute 3;\nsend to 1 size 256;\n} else {\nrecv from rank - 1;\ncompute 3;\n\
+                 if rank < nprocs - 1 { send to rank + 1 size 256; }\n",
             );
+            if tail_ckpt {
+                s.push_str("checkpoint;\n");
+            }
+            s.push_str("}\n");
         }
         Item::Gather(pos) => {
             // Gather with a release phase: without message tags, a
@@ -143,52 +126,39 @@ fn emit_item(b: &mut BlockBuilder, item: &Item) {
             // message from a fast peer (a real MPI hazard). Rank 0
             // releases the workers only after the gather completes, and
             // FIFO ordering keeps the release ahead of later traffic.
-            let pos = *pos;
-            b.if_else(
-                e::eq(e::rank(), e::int(0)),
-                move |b| {
-                    emit_ckpt(b, pos, CkptPos::Before);
-                    b.for_("j", e::int(0), e::sub(e::nprocs(), e::int(1)), |b| {
-                        b.recv_any();
-                    });
-                    emit_ckpt(b, pos, CkptPos::After);
-                    b.for_("j", e::int(1), e::nprocs(), |b| {
-                        b.send(e::var("j"), e::int(8));
-                    });
-                },
-                move |b| {
-                    b.compute(e::int(2));
-                    b.send(e::int(0), e::int(128));
-                    // Workers checkpoint at the opposite phase: another
-                    // adversarial skew.
-                    emit_ckpt(b, pos, CkptPos::Before);
-                    emit_ckpt(b, pos, CkptPos::After);
-                    b.recv(e::int(0));
-                },
-            );
+            s.push_str("if rank == 0 {\n");
+            ckpt(s, pos, CkptPos::Before);
+            s.push_str("for j in 0..nprocs - 1 { recv from any; }\n");
+            ckpt(s, pos, CkptPos::After);
+            s.push_str("for j in 1..nprocs { send to j size 8; }\n} else {\n");
+            s.push_str("compute 2;\nsend to 0 size 128;\n");
+            // Workers checkpoint at the opposite phase: another
+            // adversarial skew.
+            ckpt(s, pos, CkptPos::Before);
+            ckpt(s, pos, CkptPos::After);
+            s.push_str("recv from 0;\n}\n");
         }
         Item::RingShift(pos) => {
-            let pos = *pos;
-            emit_ckpt(b, pos, CkptPos::Before);
-            b.send(e::right_neighbor(), e::int(64));
-            b.recv(e::left_neighbor());
-            emit_ckpt(b, pos, CkptPos::After);
+            ckpt(s, pos, CkptPos::Before);
+            s.push_str("send to (rank + 1) % nprocs size 64;\nrecv from (rank - 1) % nprocs;\n");
+            ckpt(s, pos, CkptPos::After);
         }
     }
 }
 
+/// The MPSL source of `items` inside a `loop_iters`-trip loop.
+fn source(items: &[Item], loop_iters: i64) -> String {
+    let mut s = format!("program generated;\nvar i, j;\nfor i in 0..{loop_iters} {{\n");
+    for item in items {
+        write_item(&mut s, item);
+    }
+    s.push_str("}\n");
+    s
+}
+
 fn build_program(items: &[Item], loop_iters: i64) -> Program {
-    ProgramBuilder::new("generated")
-        .var("i")
-        .var("j")
-        .body(|b| {
-            b.for_("i", e::int(0), e::int(loop_iters), |b| {
-                for item in items {
-                    emit_item(b, item);
-                }
-            });
-        })
-        .build()
+    let src = source(items, loop_iters);
+    parse(&src).unwrap_or_else(|e| panic!("generated program does not parse: {e}\n{src}"))
 }
 
 #[test]
